@@ -97,6 +97,17 @@ if "$RADER" json-check target/stale-schema.json >/dev/null 2>&1; then
     exit 1
 fi
 
+echo "== perfbench: seed 0 rebuilds the paper suite; every workload runs clean =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in figure7 sweep-frames sweep-accesses synth-corpus; do
+    last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -Eq '"failed": 0[,}]' <<<"$last"; then
+        echo "ERROR: perfbench $workload reported failures: ${last:0:200}" >&2
+        exit 1
+    fi
+done
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== rustfmt =="
     cargo fmt --all --check

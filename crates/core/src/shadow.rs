@@ -64,6 +64,44 @@ impl ShadowSpace {
     }
 }
 
+/// A set of arena locations, one bit per location, grown on demand.
+///
+/// The detectors keep at most one determinacy race per location; this
+/// set answers "already reported?" in O(1) where a scan of the report
+/// made a run with `R` racy locations cost O(R²).
+#[derive(Default)]
+pub(crate) struct LocSet {
+    words: Vec<u64>,
+}
+
+impl LocSet {
+    /// An empty set.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add `loc`; true if it was not already present.
+    #[inline]
+    pub(crate) fn insert(&mut self, loc: Loc) -> bool {
+        let (w, bit) = (loc.index() / 64, 1u64 << (loc.index() % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        fresh
+    }
+
+    /// Remove `loc`. Detectors empty the set this way, one reported
+    /// location at a time, so a reset costs O(races), not O(arena).
+    #[inline]
+    pub(crate) fn remove(&mut self, loc: Loc) {
+        if let Some(w) = self.words.get_mut(loc.index() / 64) {
+            *w &= !(1u64 << (loc.index() % 64));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +126,18 @@ mod tests {
         assert_eq!(got.frame, FrameId(1));
         assert!(s.get(Loc(4)).is_none());
         assert_eq!(s.occupied(), 1);
+    }
+
+    #[test]
+    fn loc_set_inserts_once_until_removed() {
+        let mut s = LocSet::new();
+        assert!(s.insert(Loc(3)));
+        assert!(s.insert(Loc(200)));
+        assert!(!s.insert(Loc(3)));
+        assert!(!s.insert(Loc(200)));
+        s.remove(Loc(200));
+        s.remove(Loc(9_999)); // never inserted, beyond the storage
+        assert!(s.insert(Loc(200)));
+        assert!(!s.insert(Loc(3)));
     }
 }

@@ -16,7 +16,7 @@ use rader_cilk::{AccessKind, EnterKind, FrameId, Loc, StrandId, Tool};
 use rader_dsu::{Bag, BagForest, BagKind, Elem, ViewId};
 
 use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
-use crate::shadow::{ShadowEntry, ShadowSpace};
+use crate::shadow::{LocSet, ShadowEntry, ShadowSpace};
 
 struct Frame {
     elem: Elem,
@@ -31,6 +31,8 @@ pub struct SpBags {
     reader: ShadowSpace,
     writer: ShadowSpace,
     report: RaceReport,
+    /// Locations already in `report` (one race per location).
+    racy: LocSet,
     /// Total access checks performed.
     pub checks: u64,
 }
@@ -50,6 +52,7 @@ impl SpBags {
             reader: ShadowSpace::new(),
             writer: ShadowSpace::new(),
             report: RaceReport::default(),
+            racy: LocSet::new(),
             checks: 0,
         }
     }
@@ -71,7 +74,7 @@ impl SpBags {
         prior_write: bool,
         current: AccessInfo,
     ) {
-        if self.report.determinacy.iter().any(|r| r.loc == loc) {
+        if !self.racy.insert(loc) {
             return;
         }
         self.report.determinacy.push(DeterminacyRace {

@@ -29,6 +29,7 @@ use rader_cilk::{AccessKind, EnterKind, FrameId, Loc, StrandId, Tool};
 use rader_dsu::om::{OmList, OmNode};
 
 use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
+use crate::shadow::LocSet;
 
 /// A strand's position: (English, Hebrew).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,6 +62,8 @@ pub struct SpOrder {
     reader: Vec<Option<Shadow>>,
     writer: Vec<Option<Shadow>>,
     report: RaceReport,
+    /// Locations already in `report` (one race per location).
+    racy: LocSet,
     /// Total access checks performed.
     pub checks: u64,
 }
@@ -81,6 +84,7 @@ impl SpOrder {
             reader: Vec::new(),
             writer: Vec::new(),
             report: RaceReport::default(),
+            racy: LocSet::new(),
             checks: 0,
         }
     }
@@ -117,7 +121,7 @@ impl SpOrder {
     }
 
     fn record_race(&mut self, loc: Loc, prior: Shadow, prior_write: bool, current: AccessInfo) {
-        if self.report.determinacy.iter().any(|r| r.loc == loc) {
+        if !self.racy.insert(loc) {
             return;
         }
         self.report.determinacy.push(DeterminacyRace {

@@ -24,10 +24,10 @@
 //! joins its bag anyway once the region closes.
 
 use rader_cilk::{AccessKind, EnterKind, FrameId, Loc, StrandId, Tool};
-use rader_dsu::{Bag, BagForest, BagKind, Elem, ViewId};
+use rader_dsu::{Bag, BagForest, BagInfo, BagKind, Elem, ViewId};
 
 use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
-use crate::shadow::{ShadowEntry, ShadowSpace};
+use crate::shadow::{LocSet, ShadowEntry, ShadowSpace};
 
 struct Frame {
     elem: Elem,
@@ -45,6 +45,11 @@ struct PendingReduce {
     sbag: Bag,
 }
 
+/// Index of the reader shadow space in [`SpPlus`]'s per-space find cache.
+const READER: usize = 0;
+/// Index of the writer shadow space in [`SpPlus`]'s per-space find cache.
+const WRITER: usize = 1;
+
 /// SP+ detector state; attach to a serial run (under any [`StealSpec`])
 /// as a [`Tool`].
 ///
@@ -55,7 +60,17 @@ pub struct SpPlus {
     reader: ShadowSpace,
     writer: ShadowSpace,
     pending_reduce: Option<PendingReduce>,
+    /// The last `find_info` answer for a prior accessor found in each
+    /// shadow space ([`READER`], [`WRITER`]), keyed by element. One entry
+    /// per space, because a read consults both spaces and their prior
+    /// elements usually differ. Valid until the next union: between
+    /// unions no element changes bag and no bag changes kind or view ID.
+    /// (`make_bag_with` only places elements created just before, which
+    /// cannot be cached.)
+    last_find: [Option<(Elem, BagInfo)>; 2],
     report: RaceReport,
+    /// Locations already in `report` (one race per location).
+    racy: LocSet,
     /// Total access checks performed.
     pub checks: u64,
     /// Steals observed (simulated by the engine per the spec).
@@ -79,7 +94,9 @@ impl SpPlus {
             reader: ShadowSpace::new(),
             writer: ShadowSpace::new(),
             pending_reduce: None,
+            last_find: [None; 2],
             report: RaceReport::default(),
+            racy: LocSet::new(),
             checks: 0,
             steals: 0,
             reduces: 0,
@@ -103,7 +120,15 @@ impl SpPlus {
     /// building fresh ones per run. The cumulative counters (`checks`,
     /// `steals`, `reduces`) are preserved.
     pub fn take_report(&mut self) -> RaceReport {
+        self.forget_races();
         std::mem::take(&mut self.report)
+    }
+
+    /// Empty `racy` by removing the current report's locations, O(races).
+    fn forget_races(&mut self) {
+        for race in &self.report.determinacy {
+            self.racy.remove(race.loc);
+        }
     }
 
     /// The current view ID: the top P bag's view of the current frame.
@@ -119,7 +144,7 @@ impl SpPlus {
         if let Some(pr) = self.pending_reduce.take() {
             let f = self.stack.last().expect("no active frame");
             let top = *f.pstack.last().expect("empty P stack");
-            self.forest.union_bags(top, pr.sbag);
+            self.union(top, pr.sbag);
         }
     }
 
@@ -130,7 +155,7 @@ impl SpPlus {
         prior_write: bool,
         current: AccessInfo,
     ) {
-        if self.report.determinacy.iter().any(|r| r.loc == loc) {
+        if !self.racy.insert(loc) {
             return;
         }
         self.report.determinacy.push(DeterminacyRace {
@@ -145,6 +170,61 @@ impl SpPlus {
         });
     }
 
+    /// `dst ∪= src`, dropping the find cache (membership changes).
+    fn union(&mut self, dst: Bag, src: Bag) {
+        self.last_find = [None; 2];
+        self.forest.union_bags(dst, src);
+    }
+
+    /// The bag holding `prior`, the element of the last accessor recorded
+    /// in shadow space `space`, or `None` when it is the current
+    /// accessor's own element `me`. The own element sits in an S bag for
+    /// as long as it can access memory (DESIGN.md §5f), so the prior
+    /// access is serial and no find is needed.
+    #[inline]
+    fn prior_bag(&mut self, space: usize, prior: Elem, me: Elem) -> Option<BagInfo> {
+        if prior == me {
+            debug_assert!(
+                !self.forest.find_info(me).kind.is_p(),
+                "the running element sits in a P bag"
+            );
+            return None;
+        }
+        if let Some((e, info)) = self.last_find[space] {
+            if e == prior {
+                debug_assert_eq!(info, self.forest.find_info(prior), "stale find cache");
+                return Some(info);
+            }
+        }
+        let info = self.forest.find_info(prior);
+        self.last_find[space] = Some((prior, info));
+        Some(info)
+    }
+
+    /// Race-check the current access against `prev`, the last accessor
+    /// recorded in shadow space `space`, and return the bag holding its
+    /// element (`None` if there is no prior or it is the accessor's own
+    /// element). A view-aware access races only with a parallel access
+    /// under a different view, so the view ID is looked up only then.
+    // Forced inline: the compiler kept it out of line, and the calls made
+    // small programs' checks slower than before the fast paths.
+    #[inline(always)]
+    fn check_prior(
+        &mut self,
+        space: usize,
+        prev: Option<ShadowEntry>,
+        elem: Elem,
+        loc: Loc,
+        current: AccessInfo,
+    ) -> Option<BagInfo> {
+        let prev = prev?;
+        let bag = self.prior_bag(space, prev.elem, elem)?;
+        if bag.kind.is_p() && (!current.kind.is_view_aware() || bag.vid != self.current_vid()) {
+            self.record_race(loc, prev, space == WRITER, current);
+        }
+        Some(bag)
+    }
+
     fn access(
         &mut self,
         frame: FrameId,
@@ -154,17 +234,13 @@ impl SpPlus {
         kind: AccessKind,
     ) {
         self.checks += 1;
-        let in_reduce = kind.in_reduce();
-        if !in_reduce {
-            self.flush_reduce();
-        }
-        let vid = self.current_vid();
-        let elem = if in_reduce {
+        let elem = if kind.in_reduce() {
             self.pending_reduce
                 .as_ref()
                 .expect("reduce access outside a reduce region")
                 .elem
         } else {
+            self.flush_reduce();
             self.stack.last().expect("no active frame").elem
         };
         let me = ShadowEntry {
@@ -179,72 +255,28 @@ impl SpPlus {
             write,
             kind,
         };
-        let view_aware = kind.is_view_aware();
-
+        // Shadow update: replace only serial entries. A parallel (P-bag)
+        // entry must survive — even against a reduce access whose view ID
+        // matches it, because equal view IDs do not imply the previous
+        // accessor lies under one of the views the reduce merges (an
+        // unstolen sibling can share the frame's entry view while staying
+        // parallel to the reduce). When the previous accessor *is* under a
+        // merged view, the reduce's element joins its bag at the region
+        // flush anyway, so keeping the old entry yields identical verdicts.
         if write {
-            // Check against the last reader.
-            if let Some(prev) = self.reader.get(loc) {
-                let info = self.forest.find_info(prev.elem);
-                let races = if view_aware {
-                    info.kind.is_p() && info.vid != vid
-                } else {
-                    info.kind.is_p()
-                };
-                if races {
-                    self.record_race(loc, prev, false, current);
-                }
-            }
-            // Check against the last writer.
-            if let Some(prev) = self.writer.get(loc) {
-                let info = self.forest.find_info(prev.elem);
-                let races = if view_aware {
-                    info.kind.is_p() && info.vid != vid
-                } else {
-                    info.kind.is_p()
-                };
-                if races {
-                    self.record_race(loc, prev, true, current);
-                }
-            }
-            // Shadow update: replace only serial entries. A parallel
-            // (P-bag) entry must survive — even against a reduce access
-            // whose view ID matches it, because equal view IDs do not
-            // imply the previous accessor lies under one of the views the
-            // reduce merges (an unstolen sibling can share the frame's
-            // entry view while staying parallel to the reduce). When the
-            // previous accessor *is* under a merged view, the reduce's
-            // element joins its bag at the region flush anyway, so
-            // keeping the old entry yields identical verdicts.
-            let update = match self.writer.get(loc) {
-                None => true,
-                Some(prev) => {
-                    let info = self.forest.find_info(prev.elem);
-                    !info.kind.is_p()
-                }
-            };
-            if update {
+            self.check_prior(READER, self.reader.get(loc), elem, loc, current);
+            // One lookup and one find serve both the check and the update.
+            let bag = self.check_prior(WRITER, self.writer.get(loc), elem, loc, current);
+            if !bag.is_some_and(|b| b.kind.is_p()) {
                 self.writer.set(loc, me);
             }
         } else {
-            if let Some(prev) = self.writer.get(loc) {
-                let info = self.forest.find_info(prev.elem);
-                let races = if view_aware {
-                    info.kind.is_p() && info.vid != vid
-                } else {
-                    info.kind.is_p()
-                };
-                if races {
-                    self.record_race(loc, prev, true, current);
-                }
-            }
-            let update = match self.reader.get(loc) {
-                None => true,
-                Some(prev) => {
-                    let info = self.forest.find_info(prev.elem);
-                    !info.kind.is_p()
-                }
-            };
-            if update {
+            self.check_prior(WRITER, self.writer.get(loc), elem, loc, current);
+            let bag = self
+                .reader
+                .get(loc)
+                .and_then(|prev| self.prior_bag(READER, prev.elem, elem));
+            if !bag.is_some_and(|b| b.kind.is_p()) {
                 self.reader.set(loc, me);
             }
         }
@@ -259,10 +291,12 @@ impl Tool for SpPlus {
         // The public counters accumulate across runs by design: a pooled
         // sweep reads them once at the end for its totals.
         self.forest.reset();
+        self.last_find = [None; 2];
         self.stack.clear();
         self.reader.reset();
         self.writer.reset();
         self.pending_reduce = None;
+        self.forget_races();
         self.report = RaceReport::default();
     }
 
@@ -298,11 +332,12 @@ impl Tool for SpPlus {
             EnterKind::Spawn => {
                 // Spawned G returns: Top(F.P) ∪= G.S.
                 let top = *f.pstack.last().expect("empty P stack");
-                self.forest.union_bags(top, g.s);
+                self.union(top, g.s);
             }
             _ => {
                 // Called G returns: F.S ∪= G.S.
-                self.forest.union_bags(f.s, g.s);
+                let s = f.s;
+                self.union(s, g.s);
             }
         }
     }
@@ -317,7 +352,7 @@ impl Tool for SpPlus {
         );
         let (s, top, entry_vid) = (f.s, *f.pstack.last().unwrap(), f.entry_vid);
         // F.S ∪= Top(F.P); Top(F.P) = fresh bag with the frame's view.
-        self.forest.union_bags(s, top);
+        self.union(s, top);
         let fresh = self.forest.make_bag(BagKind::P, entry_vid);
         let f = self.stack.last_mut().unwrap();
         f.pstack.clear();
@@ -343,7 +378,7 @@ impl Tool for SpPlus {
         let top = *f.pstack.last().expect("reduce emptied the P stack");
         // Union the newer bag into the older; the dominating view ID
         // survives (destination-wins union).
-        self.forest.union_bags(top, popped);
+        self.union(top, popped);
         debug_assert_eq!(self.forest.bag_info(top).vid, _dst);
         // The reduce runs as its own invocation; its accesses join the
         // merged P bag when the region closes.
@@ -391,6 +426,50 @@ mod tests {
             cx.write(a, 2);
         });
         assert!(!r.has_races());
+    }
+
+    #[test]
+    fn find_cache_follows_elements_across_unions() {
+        // The scan reads cells written by one spawned child, so every
+        // check after the first hits the cached bag of the child's
+        // element. Before the sync that bag is P (race on the first cell
+        // read); the sync moves it into S, so the cached answer must not
+        // outlive the union (no race on the rest).
+        let r = check(StealSpec::None, |cx| {
+            let a = cx.alloc(4);
+            cx.spawn(move |cx| {
+                for i in 0..4 {
+                    cx.write(a.at(i), 1);
+                }
+            });
+            let _ = cx.read(a.at(0));
+            let _ = cx.read(a.at(0));
+            cx.sync();
+            for i in 0..4 {
+                let _ = cx.read(a.at(i));
+                cx.write(a.at(i), 2); // own element: the skip path
+            }
+        });
+        assert_eq!(r.determinacy.len(), 1, "{r}");
+        let race = r.determinacy[0];
+        assert!(race.prior.write && !race.current.write, "{r}");
+    }
+
+    #[test]
+    fn take_report_forgets_reported_locations() {
+        // A pooled detector must report the same location again in the
+        // next run (one race per location is per run, not per detector).
+        let mut tool = SpPlus::new();
+        let racy = |cx: &mut Ctx<'_>| {
+            let a = cx.alloc(1);
+            cx.spawn(move |cx| cx.write(a, 1));
+            cx.write(a, 2);
+            cx.sync();
+        };
+        for _ in 0..2 {
+            SerialEngine::new().run_tool(&mut tool, racy);
+            assert_eq!(tool.take_report().determinacy.len(), 1);
+        }
     }
 
     #[test]

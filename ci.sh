@@ -17,9 +17,9 @@ cargo check -q --offline --workspace --benches
 echo "== bench smoke: engine runs end to end (offline, 1 sample) =="
 cargo bench -q --offline -p rader-bench --bench engine -- --samples 1 --warmup 0
 
-echo "== bench smoke: deque_scaling and sweep_chunking run end to end =="
-cargo bench -q --offline -p rader-bench --bench scaling -- deque_scaling --samples 1 --warmup 0
-cargo bench -q --offline -p rader-bench --bench scaling -- sweep_chunking --samples 1 --warmup 0
+echo "== bench smoke: scaling and ablations run end to end (1 sample) =="
+cargo bench -q --offline -p rader-bench --bench scaling -- --samples 1 --warmup 0
+cargo bench -q --offline -p rader-bench --bench ablations -- --samples 1 --warmup 0
 
 echo "== suite smoke: JSON report validates, racy entry exits nonzero =="
 RADER=target/release/rader
@@ -29,7 +29,7 @@ SUITE_OUT=target/suite-smoke.out
 
 echo "== scaling smoke: pool steals and chunked claims are live =="
 # The suite prints a pool-smoke line from a spawn-heavy calibration run;
-# at 2 workers the Chase-Lev pool must record at least one steal.
+# at 2 workers the work-stealing pool must record at least one steal.
 grep -Eq 'pool-smoke: .*steals=[1-9]' "$SUITE_OUT"
 # Chunked claiming: every workload claims spec chunks, and family
 # batching makes that strictly fewer claims than runs for update-heavy
@@ -55,6 +55,16 @@ if "$RADER" suite --threads 0x >/dev/null 2>target/rader-usage-err; then
     exit 1
 fi
 grep -q -- '--threads' target/rader-usage-err
+# Nesting deeper than the validator's fixed cap is invalid JSON (exit 1),
+# never a stack overflow.
+head -c 200000 /dev/zero | tr '\0' '[' >target/deep-nesting.json
+status=0
+"$RADER" json-check target/deep-nesting.json >/dev/null 2>target/deep-nesting.err || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: json-check on deep nesting should exit 1, got $status" >&2
+    exit 1
+fi
+grep -q 'nesting deeper than 128' target/deep-nesting.err
 
 echo "== checkpoint smoke: SIGKILL mid-sweep, resume, byte-identical report =="
 CKPT_PREFIX=target/ckpt-smoke

@@ -11,14 +11,13 @@
 use rader_bench::timing::Harness;
 use rader_cilk::par::ParRuntime;
 use rader_cilk::{BlockScript, Ctx, EmptyTool, SerialEngine, StealSpec};
-use rader_core::{coverage, CoverageOptions, SweepScheduler};
+use rader_core::{coverage, CoverageOptions};
 use rader_workloads::{dedup, ferret, fib};
 
 fn main() {
     let mut h = Harness::from_args("engine");
     bench_instrumentation_layers(&mut h);
     bench_exhaustive_sweep(&mut h);
-    bench_sweep_schedulers(&mut h);
     bench_parallel_runtime(&mut h);
     h.finish();
 }
@@ -124,77 +123,6 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
                 "{:<56} {:.3}x",
                 format!("exhaustive_sweep/{workload}: replay speedup"),
                 reexec / replay,
-            );
-        }
-    }
-}
-
-/// The suite's parallel sweep distributes specs either from a shared
-/// atomic work queue (default) or by static round-robin striding. Spec
-/// costs are uneven — `EveryBlock` reduce triples dwarf `AtSpawnCount`
-/// update specs — so striding can strand the expensive tail on one
-/// thread. This measures both at 4 threads on the same capped sweeps as
-/// `bench_exhaustive_sweep`; the work queue must be no slower.
-fn bench_sweep_schedulers(h: &mut Harness) {
-    const THREADS: usize = 4;
-    let opts = |scheduler| CoverageOptions {
-        max_k: Some(3),
-        max_spawn_count: Some(6),
-        scheduler,
-        ..CoverageOptions::default()
-    };
-    let sweep = |program: &(dyn Fn(&mut Ctx<'_>) + Sync), scheduler: SweepScheduler| {
-        coverage::exhaustive_check_parallel(program, &opts(scheduler), THREADS).runs
-    };
-
-    let stream = dedup::gen_stream(96, 11);
-    let corpus = ferret::gen_corpus(48, 3, 12);
-    let mut g = h.group("sweep_scheduler_t4");
-    g.bench("dedup/workqueue", || {
-        sweep(
-            &|cx| {
-                dedup::dedup_program(cx, &stream);
-            },
-            SweepScheduler::WorkQueue,
-        )
-    });
-    g.bench("dedup/strided", || {
-        sweep(
-            &|cx| {
-                dedup::dedup_program(cx, &stream);
-            },
-            SweepScheduler::Strided,
-        )
-    });
-    g.bench("ferret/workqueue", || {
-        sweep(
-            &|cx| {
-                ferret::ferret_program(cx, &corpus);
-            },
-            SweepScheduler::WorkQueue,
-        )
-    });
-    g.bench("ferret/strided", || {
-        sweep(
-            &|cx| {
-                ferret::ferret_program(cx, &corpus);
-            },
-            SweepScheduler::Strided,
-        )
-    });
-
-    for workload in ["dedup", "ferret"] {
-        let m = |mode: &str| {
-            h.results()
-                .iter()
-                .find(|m| m.group == "sweep_scheduler_t4" && m.name == format!("{workload}/{mode}"))
-                .map(|m| m.median.as_nanos() as f64)
-        };
-        if let (Some(queue), Some(strided)) = (m("workqueue"), m("strided")) {
-            println!(
-                "{:<56} {:.3}x",
-                format!("sweep_scheduler_t4/{workload}: workqueue speedup"),
-                strided / queue,
             );
         }
     }

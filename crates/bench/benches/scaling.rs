@@ -9,9 +9,8 @@
 use std::sync::Arc;
 
 use rader_bench::timing::Harness;
-use rader_cilk::par::{ParRuntime, QueueKind};
 use rader_cilk::{BlockScript, Ctx, SerialEngine, StealSpec, ViewMem, ViewMonoid, Word};
-use rader_core::{coverage, ChunkPolicy, CoverageOptions, PeerSet, SpPlus};
+use rader_core::{PeerSet, SpPlus};
 use rader_workloads::fib;
 
 fn main() {
@@ -19,8 +18,6 @@ fn main() {
     bench_peerset_scaling(&mut h);
     bench_spplus_steal_density(&mut h);
     bench_spplus_reduce_cost(&mut h);
-    bench_deque_scaling(&mut h);
-    bench_sweep_chunking(&mut h);
     h.finish();
 }
 
@@ -82,124 +79,6 @@ impl ViewMonoid for HeavyReduce {
     fn update(&self, m: &mut ViewMem<'_>, view: rader_cilk::Loc, op: &[Word]) {
         let v = m.read(view);
         m.write(view, v + op[0]);
-    }
-}
-
-/// Spawn-heavy parallel fib on the work-stealing pool: thousands of
-/// tiny frames, so queue push/pop/steal cost dominates. Compares the
-/// lock-free Chase–Lev deques against the mutex-guarded baseline across
-/// worker counts; at 4 workers Chase–Lev should win (owner operations
-/// never take a lock, steals are one CAS instead of a mutex handoff).
-///
-/// Caveat: the comparison needs real hardware parallelism. On a
-/// single-core host the workers time-slice, lock-free progress buys
-/// nothing, and the medians are scheduling noise — treat the printed
-/// speedups as meaningful only when `nproc >= workers`.
-fn bench_deque_scaling(h: &mut Harness) {
-    let mut g = h.group("deque_scaling");
-    let want = fib::fib_reference(16);
-    for kind in [QueueKind::ChaseLev, QueueKind::Mutex] {
-        for workers in [1usize, 2, 4, 8] {
-            let label = format!(
-                "{}/{workers}",
-                match kind {
-                    QueueKind::ChaseLev => "chaselev",
-                    QueueKind::Mutex => "mutex",
-                }
-            );
-            g.bench(label, move || {
-                let rt = ParRuntime::new(workers).with_queue(kind);
-                let (_stats, v) = rt.run(|cx| par_fib(cx, 16));
-                assert_eq!(v, want);
-                v
-            });
-        }
-    }
-    for workers in [2usize, 4, 8] {
-        let m = |kind: &str| {
-            h.results()
-                .iter()
-                .find(|m| m.group == "deque_scaling" && m.name == format!("{kind}/{workers}"))
-                .map(|m| m.median.as_nanos() as f64)
-        };
-        if let (Some(cl), Some(mx)) = (m("chaselev"), m("mutex")) {
-            println!(
-                "{:<56} {:.3}x",
-                format!("deque_scaling/{workers} workers: chaselev speedup"),
-                mx / cl,
-            );
-        }
-    }
-}
-
-fn par_fib(cx: &mut rader_cilk::par::ParCtx<'_>, n: u32) -> i64 {
-    use rader_reducers::{Monoid, OpAdd};
-    let sum = OpAdd::register(cx);
-    par_fib_rec(cx, n, sum);
-    cx.sync();
-    sum.get(cx)
-}
-
-fn par_fib_rec(
-    cx: &mut rader_cilk::par::ParCtx<'_>,
-    n: u32,
-    sum: rader_reducers::RedHandle<rader_reducers::OpAdd>,
-) {
-    if n < 2 {
-        sum.add(cx, n as i64);
-        return;
-    }
-    cx.spawn(move |cx| {
-        par_fib_rec(cx, n - 1, sum);
-        cx.sync();
-    });
-    par_fib_rec(cx, n - 2, sum);
-    cx.sync();
-}
-
-/// Chunked spec claiming on an update-dominated sweep: a flat program
-/// with many spawns makes the Θ(M) `AtSpawnCount` family dwarf the
-/// Θ(K³) reduce triples, and each update spec replays in microseconds —
-/// so per-spec claim traffic (one atomic RMW each) is a measurable
-/// fraction of the sweep. `Family` chunking claims those specs 16 at a
-/// time and must be no slower than `PerSpec` claiming at 4 threads.
-fn bench_sweep_chunking(h: &mut Harness) {
-    const THREADS: usize = 4;
-    // 48 spawned updates in one sync block, trivial bodies.
-    let program = |cx: &mut Ctx<'_>| {
-        let r = cx.new_reducer(Arc::new(HeavyReduce { tau: 1 }));
-        for i in 0..48 as Word {
-            cx.spawn(move |cx| cx.reducer_update(r, &[i]));
-        }
-        cx.sync();
-    };
-    let opts = |chunking| CoverageOptions {
-        max_k: Some(2),
-        max_spawn_count: Some(48),
-        chunking,
-        ..CoverageOptions::default()
-    };
-
-    let mut g = h.group("sweep_chunking");
-    g.bench("family", || {
-        coverage::exhaustive_check_parallel(&program, &opts(ChunkPolicy::Family), THREADS).runs
-    });
-    g.bench("per-spec", || {
-        coverage::exhaustive_check_parallel(&program, &opts(ChunkPolicy::PerSpec), THREADS).runs
-    });
-
-    let m = |name: &str| {
-        h.results()
-            .iter()
-            .find(|m| m.group == "sweep_chunking" && m.name == name)
-            .map(|m| m.median.as_nanos() as f64)
-    };
-    if let (Some(family), Some(per_spec)) = (m("family"), m("per-spec")) {
-        println!(
-            "{:<56} {:.3}x",
-            "sweep_chunking: family-chunk speedup over per-spec",
-            per_spec / family,
-        );
     }
 }
 

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The Section-7 coverage experiments (Theorems 6 and 7).
 //!
 //! ```sh

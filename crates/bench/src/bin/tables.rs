@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Regenerate the paper's Figure 7 and Figure 8 overhead tables.
 //!
 //! ```sh

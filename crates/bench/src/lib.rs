@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Benchmark harness for regenerating the paper's evaluation.
 //!
 //! The paper evaluates Rader in two tables:

@@ -1,368 +1,26 @@
-//! In-tree work-stealing deques, std-only.
+//! The parallel runtime's per-worker work-stealing deque, std-only.
 //!
-//! The parallel runtime ([`crate::par`]) needs three queue shapes, all
-//! built with no dependencies beyond `std` (hermetic-build policy,
-//! DESIGN.md §8):
+//! [`MutexDeque`] is a `Mutex<VecDeque>` with an atomic-length mirror.
+//! The owning worker pushes and pops at the **back** (LIFO, cache-hot
+//! depth-first execution — the Cilk discipline); thieves take from the
+//! **front** (the oldest task, the "steal the shallowest frame"
+//! heuristic). The length mirror is the lock-free emptiness fast path:
+//! a thief scanning empty victims, or an owner polling an empty queue,
+//! never takes a lock.
 //!
-//! * [`ChaseLev`] — a lock-free Chase–Lev work-stealing deque, the
-//!   runtime's default worker queue. The owning worker pushes and pops
-//!   at the **bottom** (LIFO, cache-hot depth-first execution — the Cilk
-//!   discipline); thieves CAS the **top** to claim the oldest task (the
-//!   "steal the shallowest frame" heuristic). Owner operations are
-//!   lock-free on the bottom index; a steal is one CAS.
-//! * [`MutexDeque`] — the previous `Mutex<VecDeque>` queue with an
-//!   atomic-length emptiness fast path. Kept as a selectable fallback
-//!   ([`crate::par::QueueKind::Mutex`]) and as the baseline the
-//!   `deque_scaling` bench group compares against.
-//! * [`Injector`] — a shared FIFO for jobs submitted from outside any
-//!   worker, drained by whichever worker gets there first. Off the hot
-//!   path, so it stays mutex-based.
-//!
-//! # Chase–Lev design
-//!
-//! The implementation follows Chase & Lev, "Dynamic Circular
-//! Work-Stealing Deque" (SPAA 2005), with the memory orderings of Lê,
-//! Pop, Cohen & Zappa Nardelli, "Correct and Efficient Work-Stealing for
-//! Weakly Ordered Memory Models" (PPoPP 2013). Three pieces of state:
-//!
-//! * `bottom: AtomicIsize` — written only by the owner; the index one
-//!   past the newest element.
-//! * `top: AtomicIsize` — monotonically increasing; advanced by a
-//!   successful steal CAS (or by the owner's CAS when popping the last
-//!   element). `top..bottom` is the live window.
-//! * `buffer: AtomicPtr<Buffer>` — a power-of-two circular array of
-//!   element *pointers*. Written only by the owner (on growth).
-//!
-//! Elements are boxed and the buffer cells are `AtomicPtr<T>`, so every
-//! cell access is a machine-word atomic: a thief racing with an owner
-//! overwrite reads a stale-but-whole pointer, never a torn value, and a
-//! pointer is only dereferenced (`Box::from_raw`) *after* the CAS on
-//! `top` that transfers ownership of its index. The classic
-//! `MaybeUninit` formulation needs a speculative read of a possibly
-//! concurrently overwritten element; boxing trades one allocation per
-//! push (jobs are already boxed closures — noise at this profile) for
-//! `unsafe` blocks that are short and independently auditable.
-//!
-//! **Index/slot invariant.** `push` writes element `b`'s pointer into
-//! slot `b & mask` of the *current* buffer and only then publishes
-//! `bottom = b + 1` (Release). Slot `i & mask` is reused by index
-//! `i + cap` only after `top > i` (the window never exceeds `cap`
-//! elements — `push` grows first), and `top > i` makes every CAS
-//! expecting `top == i` fail. Hence: *any cell read whose subsequent
-//! `top` CAS succeeds returned the pointer written for exactly that
-//! index*. A failed CAS discards the pointer without dereferencing it.
-//!
-//! **Buffer retirement (the garbage list).** Growth copies the live
-//! window into a buffer of twice the capacity, publishes it (Release
-//! store of `buffer`), and pushes the old buffer onto a retirement list
-//! instead of freeing it — a thief that loaded the old buffer pointer
-//! may still read a cell from it. Retired buffers are freed in `Drop`,
-//! when `&mut self` proves no thief can still hold a pointer. Geometric
-//! doubling bounds the retired memory by the size of the current buffer,
-//! and the runtime creates fresh deques per pool run, so the garbage
-//! list's lifetime is one `ParRuntime::run`. (An epoch scheme would free
-//! earlier; it buys nothing at this bound.)
-//!
-//! Per-operation ordering rationale is documented line by line in
-//! [`ChaseLev::push`] / [`ChaseLev::pop`] / [`ChaseLev::steal`].
+//! The queue is a mutex on purpose: a lock-free Chase–Lev deque measured
+//! no faster on the runtime's spawn-heavy fib(16) benchmark at two or
+//! four workers (DESIGN.md §5d), and the runtime's role is semantic —
+//! running reducer views under real steals — not raw scheduling
+//! throughput.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-/// Result of a [`ChaseLev::steal`] attempt.
-#[derive(Debug)]
-pub enum Steal<T> {
-    /// The deque had no claimable element.
-    Empty,
-    /// Lost a race with another thief (or the owner's last-element pop);
-    /// the deque may still have work — retrying is sensible.
-    Retry,
-    /// Took the oldest element.
-    Taken(T),
-}
-
-/// Power-of-two circular buffer of element pointers.
-///
-/// Cells are `AtomicPtr` so cross-thread cell accesses are word atomics
-/// (never torn); the index protocol on `top`/`bottom`, not cell-level
-/// ordering, is what transfers element ownership, so `Relaxed` suffices
-/// at the cells themselves (visibility piggybacks on the Release/Acquire
-/// pairs on `bottom` and `buffer` — see the op docs).
-struct Buffer<T> {
-    mask: usize,
-    cells: Box<[AtomicPtr<T>]>,
-}
-
-impl<T> Buffer<T> {
-    /// Allocate a buffer of capacity `cap` (power of two) on the heap,
-    /// returning the raw pointer that `ChaseLev::buffer` stores.
-    fn alloc(cap: usize) -> *mut Buffer<T> {
-        debug_assert!(cap.is_power_of_two());
-        let mut cells = Vec::with_capacity(cap);
-        cells.resize_with(cap, || AtomicPtr::new(std::ptr::null_mut()));
-        Box::into_raw(Box::new(Buffer {
-            mask: cap - 1,
-            cells: cells.into_boxed_slice(),
-        }))
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Load the pointer stored for index `i` (callers guarantee `i ≥ 0`).
-    #[inline]
-    fn get(&self, i: isize) -> *mut T {
-        self.cells[i as usize & self.mask].load(Ordering::Relaxed)
-    }
-
-    /// Store the pointer for index `i`.
-    #[inline]
-    fn put(&self, i: isize, p: *mut T) {
-        self.cells[i as usize & self.mask].store(p, Ordering::Relaxed)
-    }
-}
-
-/// A lock-free Chase–Lev work-stealing deque. See the module docs for
-/// the design; the safety argument lives there and in the per-op docs.
-///
-/// Usage contract (enforced by [`crate::par`]'s structure, not the type
-/// system): exactly one thread — the owner — calls [`ChaseLev::push`]
-/// and [`ChaseLev::pop`]; any number of threads may call
-/// [`ChaseLev::steal`] concurrently.
-pub struct ChaseLev<T> {
-    /// One past the newest element. Owner-written; thieves read it only
-    /// to bound their claim window.
-    bottom: AtomicIsize,
-    /// Index of the oldest unclaimed element; advanced by CAS only.
-    top: AtomicIsize,
-    /// Current circular buffer. Swapped (by the owner only) on growth.
-    buffer: AtomicPtr<Buffer<T>>,
-    /// Retired buffers, kept allocated until `Drop` (see module docs).
-    /// Owner-only writes; the mutex is uncontended and off the hot path
-    /// (locked once per growth, i.e. O(log n) times ever).
-    retired: Mutex<Vec<*mut Buffer<T>>>,
-}
-
-// SAFETY: elements are transferred across threads exactly once (the CAS
-// on `top` / the owner's bottom-window protocol decide the unique taker),
-// so `T: Send` is the only requirement; the raw buffer pointers are
-// managed solely by the owner + `Drop` as documented above.
-unsafe impl<T: Send> Send for ChaseLev<T> {}
-unsafe impl<T: Send> Sync for ChaseLev<T> {}
-
-impl<T> Default for ChaseLev<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ChaseLev<T> {
-    /// Initial buffer capacity (grows by doubling).
-    const INITIAL_CAP: usize = 64;
-
-    /// New empty deque.
-    pub fn new() -> Self {
-        ChaseLev {
-            bottom: AtomicIsize::new(0),
-            top: AtomicIsize::new(0),
-            buffer: AtomicPtr::new(Buffer::alloc(Self::INITIAL_CAP)),
-            retired: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Approximate number of queued elements (snapshot; racy by nature).
-    pub fn len(&self) -> usize {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        b.saturating_sub(t).max(0) as usize
-    }
-
-    /// True if the deque looked empty at the time of the check.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Owner: push an element at the bottom. Lock-free (no CAS, no
-    /// lock); one heap allocation for the element box.
-    pub fn push(&self, item: T) {
-        let p = Box::into_raw(Box::new(item));
-        // Relaxed: `bottom` is only ever written by this thread.
-        let b = self.bottom.load(Ordering::Relaxed);
-        // Acquire: pairs with the Release success CAS in `steal`, so the
-        // observed `top` is not stale enough to trigger a growth the
-        // window does not need (correctness only needs *some* lower
-        // bound on top; Acquire keeps the bound fresh).
-        let t = self.top.load(Ordering::Acquire);
-        // Relaxed: `buffer` is only ever written by this thread.
-        let mut buf = self.buffer.load(Ordering::Relaxed);
-        // SAFETY: `buf` is the current buffer; only the owner frees
-        // buffers, and only in `grow` (into the retired list, still
-        // allocated) or `Drop`.
-        unsafe {
-            if (b - t) as usize >= (*buf).capacity() {
-                buf = self.grow(buf, b, t);
-            }
-            (*buf).put(b, p);
-        }
-        // Release: publishes the cell store above to any thief whose
-        // `steal` Acquire-loads a `bottom` value > b — the thief's
-        // subsequent cell read then sees `p` (or a successor written for
-        // the same index, impossible while top ≤ b; see module docs).
-        self.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Owner: double the buffer, copying the live window `t..b`, publish
-    /// it, and retire the old buffer. Returns the new buffer.
-    ///
-    /// SAFETY (caller): `old` is the current buffer; `t..b` is the live
-    /// window at a moment when no index in it can be recycled (owner
-    /// context).
-    unsafe fn grow(&self, old: *mut Buffer<T>, b: isize, t: isize) -> *mut Buffer<T> {
-        let new = Buffer::alloc((*old).capacity() * 2);
-        let mut i = t;
-        while i < b {
-            (*new).put(i, (*old).get(i));
-            i += 1;
-        }
-        // Release: a thief that Acquire-loads the new buffer pointer
-        // must see the copied cells.
-        self.buffer.store(new, Ordering::Release);
-        // Thieves that loaded `old` before the swap may still read its
-        // cells; keep it allocated until Drop (module docs, retirement).
-        self.retired
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(old);
-        new
-    }
-
-    /// Owner: pop the most recently pushed element (LIFO). Lock-free;
-    /// CASes `top` only for the final element (the one race with
-    /// thieves that exists).
-    pub fn pop(&self) -> Option<T> {
-        // Relaxed loads: owner-written fields.
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        let buf = self.buffer.load(Ordering::Relaxed);
-        // Reserve index b: thieves whose bottom-load sees the new value
-        // will not claim past it. Relaxed is sufficient *because of the
-        // SeqCst fence below* — the fence, paired with the one in
-        // `steal`, is what forbids the owner's top-load and a thief's
-        // bottom-load from both reading the stale values that would let
-        // each side take the same last element (the PPoPP'13 argument;
-        // store+fence here is a store-load barrier).
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        // Relaxed: ordered against the store above by the fence; the
-        // value is re-validated by the CAS in the t == b case.
-        let t = self.top.load(Ordering::Relaxed);
-        if t > b {
-            // Empty (b was bottom-1 == t-1): undo the reservation.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        // SAFETY: index b is inside the live window we reserved; the
-        // cell holds the pointer pushed for index b (module docs).
-        let p = (*unsafe { &*buf }).get(b);
-        if t == b {
-            // Last element: race thieves for it via the same CAS they
-            // use. SeqCst success keeps the CAS in the fence-protocol's
-            // total order; Relaxed failure is fine, we only learn "a
-            // thief won".
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            // Either way the deque is now empty at index b+1 == top.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            // SAFETY: the CAS transferred index b to us; the pointer was
-            // written for index b and no thief can also claim it.
-            return won.then(|| unsafe { *Box::from_raw(p) });
-        }
-        // b > t: at least one element remains above top; thieves cannot
-        // reach index b (their claim window stops below `bottom`, which
-        // we already published as b). The element is ours.
-        // SAFETY: as above — sole claimant of index b.
-        Some(unsafe { *Box::from_raw(p) })
-    }
-
-    /// Thief: try to claim the oldest element with one CAS on `top`.
-    pub fn steal(&self) -> Steal<T> {
-        // Acquire: see every cell store that happened before the Release
-        // that published this top value (steals by other thieves).
-        let t = self.top.load(Ordering::Acquire);
-        // SeqCst fence: pairs with the fence in `pop` — forbids this
-        // thief's bottom-load and the owner's top-load from both reading
-        // stale values around a last-element race (see `pop`).
-        fence(Ordering::SeqCst);
-        // Acquire: pairs with the Release store in `push`, making the
-        // cell store for every index < b visible before the cell read
-        // below.
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        // Acquire: pairs with the Release buffer swap in `grow` — if we
-        // see the new buffer, we see its copied cells.
-        let buf = self.buffer.load(Ordering::Acquire);
-        // Speculative pointer read (whole word, never torn). Only
-        // dereferenced after the CAS below succeeds; if the cell was
-        // recycled for a later index, `top` has moved and the CAS fails.
-        let p = (*unsafe { &*buf }).get(t);
-        // SeqCst success: participates in the fence protocol's total
-        // order (and Releases our claim to subsequent Acquire top-loads).
-        // Relaxed failure: we retry from scratch, no ordering needed.
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: winning the CAS on `top == t` makes this thread
-            // the unique claimant of index t, and the index/slot
-            // invariant (module docs) guarantees `p` is the pointer
-            // pushed for index t.
-            Steal::Taken(unsafe { *Box::from_raw(p) })
-        } else {
-            Steal::Retry
-        }
-    }
-}
-
-impl<T> Drop for ChaseLev<T> {
-    fn drop(&mut self) {
-        // `&mut self`: no owner or thief is live; plain accesses.
-        let t = *self.top.get_mut();
-        let b = *self.bottom.get_mut();
-        let buf = *self.buffer.get_mut();
-        // SAFETY: sole access; `t..b` are the unclaimed elements, whose
-        // boxes were leaked into the current buffer's cells by `push`.
-        unsafe {
-            let mut i = t;
-            while i < b {
-                drop(Box::from_raw((*buf).get(i)));
-                i += 1;
-            }
-            drop(Box::from_raw(buf));
-        }
-        let retired = self
-            .retired
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        for p in retired.drain(..) {
-            // SAFETY: retired buffers hold only copies of pointers owned
-            // by (and freed via) the current buffer or the element loop
-            // above; free the buffer itself, not its cells' pointees.
-            unsafe { drop(Box::from_raw(p)) };
-        }
-    }
-}
 
 /// A mutex-guarded per-worker deque: owner operates on the back, thieves
 /// on the front, with an atomic-length mirror as a lock-free emptiness
-/// fast path for steal scans. The pre-Chase–Lev worker queue, kept as
-/// [`crate::par::QueueKind::Mutex`] and as the `deque_scaling` baseline.
+/// fast path for steal scans.
 pub struct MutexDeque<T> {
     /// Mirror of `inner.len()`, maintained under the lock, read without
     /// it — the lock-free emptiness fast path for steal scans.
@@ -434,179 +92,13 @@ impl<T> MutexDeque<T> {
     }
 }
 
-/// A shared FIFO injection queue (submission from outside the pool).
-pub struct Injector<T> {
-    deque: MutexDeque<T>,
-}
-
-impl<T> Default for Injector<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Injector<T> {
-    /// New empty injector.
-    pub fn new() -> Self {
-        Injector {
-            deque: MutexDeque::new(),
-        }
-    }
-
-    /// Submit a task.
-    pub fn push(&self, item: T) {
-        self.deque.push(item);
-    }
-
-    /// Take the oldest submitted task.
-    pub fn steal(&self) -> Option<T> {
-        self.deque.steal()
-    }
-
-    /// True if empty at the time of the check.
-    pub fn is_empty(&self) -> bool {
-        self.deque.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Drain a ChaseLev as a thief, retrying on lost races.
-    fn steal_all<T>(d: &ChaseLev<T>) -> Vec<T> {
-        let mut out = Vec::new();
-        loop {
-            match d.steal() {
-                Steal::Taken(v) => out.push(v),
-                Steal::Retry => continue,
-                Steal::Empty => return out,
-            }
-        }
-    }
-
     #[test]
-    fn chaselev_owner_is_lifo_thief_is_fifo() {
-        let d = ChaseLev::new();
-        d.push(1);
-        d.push(2);
-        d.push(3);
-        assert_eq!(d.len(), 3);
-        assert!(matches!(d.steal(), Steal::Taken(1)), "thief takes oldest");
-        assert_eq!(d.pop(), Some(3), "owner takes the newest");
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-        assert!(matches!(d.steal(), Steal::Empty));
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn chaselev_growth_preserves_order_and_elements() {
-        // Push far past INITIAL_CAP with interleaved consumption so the
-        // live window wraps the circular buffer across several growths.
-        let d = ChaseLev::new();
-        let mut expect_front = 0usize;
-        for i in 0..10_000usize {
-            d.push(i);
-            if i % 3 == 0 {
-                match d.steal() {
-                    Steal::Taken(v) => {
-                        assert_eq!(v, expect_front, "thief order must stay FIFO");
-                        expect_front += 1;
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
-        let rest = steal_all(&d);
-        assert_eq!(rest, (expect_front..10_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chaselev_drop_frees_unclaimed_elements() {
-        // Leak-check the Drop path: unpopped elements must be dropped
-        // exactly once (Arc strong counts observe it).
-        let sentinel = Arc::new(());
-        {
-            let d = ChaseLev::new();
-            for _ in 0..100 {
-                d.push(sentinel.clone());
-            }
-            for _ in 0..30 {
-                let _ = d.pop();
-            }
-            assert_eq!(Arc::strong_count(&sentinel), 71);
-        }
-        assert_eq!(Arc::strong_count(&sentinel), 1);
-    }
-
-    #[test]
-    fn chaselev_concurrent_steals_never_duplicate_or_lose_items() {
-        let d = Arc::new(ChaseLev::new());
-        const N: usize = 10_000;
-        for i in 0..N {
-            d.push(i);
-        }
-        let nthreads = 8;
-        let mut seen: Vec<usize> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|_| {
-                    let d = d.clone();
-                    s.spawn(move || steal_all(&d))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, (0..N).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chaselev_mixed_owner_and_thief_traffic() {
-        let d = Arc::new(ChaseLev::new());
-        const N: usize = 4_000;
-        let total = std::thread::scope(|s| {
-            let thief = {
-                let d = d.clone();
-                s.spawn(move || {
-                    let mut count = 0usize;
-                    let mut sum = 0usize;
-                    while count < N / 2 {
-                        match d.steal() {
-                            Steal::Taken(v) => {
-                                count += 1;
-                                sum += v;
-                            }
-                            Steal::Retry => {}
-                            Steal::Empty => std::thread::yield_now(),
-                        }
-                    }
-                    sum
-                })
-            };
-            let mut owner_sum = 0usize;
-            let mut popped = 0usize;
-            for i in 0..N {
-                d.push(i);
-            }
-            while popped < N / 2 {
-                if let Some(v) = d.pop() {
-                    popped += 1;
-                    owner_sum += v;
-                }
-            }
-            owner_sum + thief.join().unwrap()
-        });
-        assert_eq!(total, (0..N).sum::<usize>());
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn mutex_owner_is_lifo_thief_is_fifo() {
+    fn owner_is_lifo_thief_is_fifo() {
         let d = MutexDeque::new();
         d.push(1);
         d.push(2);
@@ -621,17 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn injector_is_fifo() {
-        let inj = Injector::new();
-        for i in 0..10 {
-            inj.push(i);
-        }
-        let got: Vec<i32> = std::iter::from_fn(|| inj.steal()).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn mutex_concurrent_steals_never_duplicate_or_lose_items() {
+    fn concurrent_steals_never_duplicate_or_lose_items() {
         let d = Arc::new(MutexDeque::new());
         const N: usize = 10_000;
         for i in 0..N {

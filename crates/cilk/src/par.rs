@@ -26,16 +26,12 @@
 //! (relaxed), so simulated races yield arbitrary interleavings, not UB.
 //!
 //! The scheduler is built entirely on `std` and in-tree primitives (see
-//! the hermetic-build policy in DESIGN.md): per-worker lock-free
-//! [`ChaseLev`] deques (owner LIFO / thief FIFO; owner push/pop
-//! lock-free on the bottom index, thieves CAS the top — see
-//! [`crate::deque`] for the memory-ordering and buffer-retirement
-//! design) plus an [`Injector`] replace `crossbeam_deque`, and
-//! `std::sync::{Mutex, RwLock, Condvar}` replace `parking_lot`. The
-//! pre-Chase–Lev mutex-guarded queue survives as
-//! [`QueueKind::Mutex`] — the baseline the `deque_scaling` bench group
-//! measures against. Idle workers park on a [`Condvar`] with a short
-//! timeout instead of spinning, and every `spawn` wakes one sleeper.
+//! the hermetic-build policy in DESIGN.md): per-worker [`MutexDeque`]s
+//! (owner LIFO / thief FIFO, with a lock-free emptiness check — see
+//! [`crate::deque`]) replace `crossbeam_deque`, and
+//! `std::sync::{Mutex, RwLock, Condvar}` replace `parking_lot`. Idle
+//! workers park on a [`Condvar`] with a short timeout instead of
+//! spinning, and every `spawn` wakes one sleeper.
 
 use std::any::Any;
 use std::ops::Range;
@@ -44,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
-use crate::deque::{ChaseLev, Injector, MutexDeque, Steal};
+use crate::deque::MutexDeque;
 use crate::events::ReducerId;
 use crate::mem::{Loc, Word};
 use crate::monoid::{MemBackend, ViewMem, ViewMonoid};
@@ -160,73 +156,15 @@ impl Parker {
     }
 }
 
-/// Which worker-queue implementation the pool schedules on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Lock-free Chase–Lev deques ([`crate::deque::ChaseLev`]): owner
-    /// push/pop never lock, a steal is one CAS. The default.
-    #[default]
-    ChaseLev,
-    /// The previous `Mutex<VecDeque>` queues with an atomic-length
-    /// emptiness fast path. Kept as the `deque_scaling` bench baseline
-    /// and as a debugging aid (swap it in to rule the lock-free queue
-    /// out of a misbehavior).
-    Mutex,
-}
-
-/// One worker's queue, dispatching to the configured implementation.
-enum WorkerQueue<T> {
-    ChaseLev(ChaseLev<T>),
-    Mutex(MutexDeque<T>),
-}
-
-impl<T> WorkerQueue<T> {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::ChaseLev => WorkerQueue::ChaseLev(ChaseLev::new()),
-            QueueKind::Mutex => WorkerQueue::Mutex(MutexDeque::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&self, item: T) {
-        match self {
-            WorkerQueue::ChaseLev(d) => d.push(item),
-            WorkerQueue::Mutex(d) => d.push(item),
-        }
-    }
-
-    #[inline]
-    fn pop(&self) -> Option<T> {
-        match self {
-            WorkerQueue::ChaseLev(d) => d.pop(),
-            WorkerQueue::Mutex(d) => d.pop(),
-        }
-    }
-
-    #[inline]
-    fn steal(&self) -> Steal<T> {
-        match self {
-            WorkerQueue::ChaseLev(d) => d.steal(),
-            WorkerQueue::Mutex(d) => match d.steal() {
-                Some(v) => Steal::Taken(v),
-                None => Steal::Empty,
-            },
-        }
-    }
-}
-
 struct RtShared {
     arena: ParArena,
-    injector: Injector<Job>,
     /// One deque per worker; worker `i` owns `queues[i]`, everyone else
     /// steals from its front.
-    queues: Vec<WorkerQueue<Job>>,
+    queues: Vec<MutexDeque<Job>>,
     monoids: RwLock<Vec<Arc<dyn ViewMonoid>>>,
     parker: Parker,
     shutdown: AtomicBool,
     steals: AtomicUsize,
-    steal_retries: AtomicUsize,
     tasks: AtomicUsize,
     /// Payloads of jobs that panicked, awaiting re-raise at a `sync`.
     /// A panicking job used to leave its parent's `pending` count stuck
@@ -499,29 +437,13 @@ fn find_job(rt: &RtShared, worker_index: usize) -> Option<Job> {
     if let Some(job) = rt.queues[worker_index].pop() {
         return Some(job);
     }
-    // Try the global injector, then steal from siblings (round-robin
-    // starting after self, so thieves spread across victims).
-    if let Some(job) = rt.injector.steal() {
-        rt.steals.fetch_add(1, Ordering::Relaxed);
-        return Some(job);
-    }
+    // Steal from siblings, round-robin starting after self, so thieves
+    // spread across victims.
     let n = rt.queues.len();
     for off in 1..n {
-        let victim = (worker_index + off) % n;
-        // Retry lost CAS races against this victim: a Retry means some
-        // other thread *did* make progress (lock-freedom), and moving on
-        // while the victim still has work would idle this worker.
-        loop {
-            match rt.queues[victim].steal() {
-                Steal::Taken(job) => {
-                    rt.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(job);
-                }
-                Steal::Retry => {
-                    rt.steal_retries.fetch_add(1, Ordering::Relaxed);
-                }
-                Steal::Empty => break,
-            }
+        if let Some(job) = rt.queues[(worker_index + off) % n].steal() {
+            rt.steals.fetch_add(1, Ordering::Relaxed);
+            return Some(job);
         }
     }
     None
@@ -558,24 +480,15 @@ fn run_job(rt: &RtShared, worker_index: usize, job: Job) {
 /// Statistics from a parallel run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolStats {
-    /// Successful steals (jobs taken from another worker or the injector).
+    /// Successful steals (jobs taken from another worker's queue).
     pub steals: usize,
-    /// Steal attempts that lost a claim race (Chase–Lev `top` CAS
-    /// failures; always 0 for [`QueueKind::Mutex`]). High values relative
-    /// to `steals` mean thieves are contending on the same victims.
-    pub steal_retries: usize,
     /// Total spawned tasks.
     pub tasks: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Which queue implementation the pool ran on.
-    pub queue: QueueKind,
     /// Words of shared memory allocated.
     pub arena_words: usize,
 }
-
-/// Former name of [`PoolStats`].
-pub type ParStats = PoolStats;
 
 /// The work-stealing thread pool.
 ///
@@ -598,30 +511,21 @@ pub type ParStats = PoolStats;
 pub struct ParRuntime {
     workers: usize,
     arena_capacity: usize,
-    queue: QueueKind,
 }
 
 impl ParRuntime {
-    /// Pool with `workers` threads (minimum 1), the default arena
-    /// capacity (2^22 words = 32 MiB), and Chase–Lev worker queues.
+    /// Pool with `workers` threads (minimum 1) and the default arena
+    /// capacity (2^22 words = 32 MiB).
     pub fn new(workers: usize) -> Self {
         ParRuntime {
             workers: workers.max(1),
             arena_capacity: 1 << 22,
-            queue: QueueKind::default(),
         }
     }
 
     /// Override the shared-arena capacity (in words).
     pub fn with_arena_capacity(mut self, words: usize) -> Self {
         self.arena_capacity = words;
-        self
-    }
-
-    /// Select the worker-queue implementation (default:
-    /// [`QueueKind::ChaseLev`]).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -633,15 +537,11 @@ impl ParRuntime {
     ) -> (PoolStats, R) {
         let rt = RtShared {
             arena: ParArena::new(self.arena_capacity),
-            injector: Injector::new(),
-            queues: (0..self.workers)
-                .map(|_| WorkerQueue::new(self.queue))
-                .collect(),
+            queues: (0..self.workers).map(|_| MutexDeque::new()).collect(),
             monoids: RwLock::new(Vec::new()),
             parker: Parker::new(),
             shutdown: AtomicBool::new(false),
             steals: AtomicUsize::new(0),
-            steal_retries: AtomicUsize::new(0),
             tasks: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
             panicked: AtomicBool::new(false),
@@ -700,10 +600,8 @@ impl ParRuntime {
 
         let stats = PoolStats {
             steals: rt.steals.load(Ordering::Relaxed),
-            steal_retries: rt.steal_retries.load(Ordering::Relaxed),
             tasks: rt.tasks.load(Ordering::Relaxed),
             workers: nworkers,
-            queue: self.queue,
             arena_words: rt.arena.next.load(Ordering::Relaxed),
         };
         (stats, result)
@@ -798,35 +696,6 @@ mod tests {
             }
         }
         assert!(stole, "no steals observed across 10 runs of 512 tasks");
-    }
-
-    #[test]
-    fn queue_kinds_agree_on_ordered_folds() {
-        // The Chase–Lev and mutex queues must be observationally
-        // identical: same non-commutative fold result at every worker
-        // count (scheduling differs; serial fold order must not).
-        let ops: Vec<Word> = (1..=48).collect();
-        let expect = HashConcat::reference(&ops);
-        for kind in [QueueKind::ChaseLev, QueueKind::Mutex] {
-            for workers in [1, 2, 4] {
-                let ops = ops.clone();
-                let rt = ParRuntime::new(workers).with_queue(kind);
-                let (stats, got) = rt.run(move |cx| {
-                    let h = cx.new_reducer(Arc::new(HashConcat));
-                    for &x in &ops {
-                        cx.spawn(move |cx| cx.reducer_update(h, &[x]));
-                    }
-                    cx.sync();
-                    let v = cx.reducer_get_view(h);
-                    cx.read(v.at(1))
-                });
-                assert_eq!(got, expect, "kind={kind:?} workers={workers}");
-                assert_eq!(stats.queue, kind);
-                if kind == QueueKind::Mutex {
-                    assert_eq!(stats.steal_retries, 0, "mutex queue cannot lose a CAS");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,30 +1,26 @@
-//! Seeded stress tests for the lock-free Chase–Lev deque.
+//! Seeded stress tests for the runtime's work-stealing deque.
 //!
 //! The deque's correctness claims (crates/cilk/src/deque.rs module docs)
 //! are: every pushed element is taken exactly once (conservation, no
-//! duplication), the owner sees LIFO order, thieves see FIFO order, and
-//! unclaimed elements are dropped exactly once. These tests drive
-//! randomized multi-thread interleavings from `rader-rng` seeds — every
-//! failure reproduces from its printed seed — plus a single-owner
-//! sequential model check against `VecDeque`.
+//! duplication), the owner sees LIFO order, and thieves see FIFO order.
+//! These tests drive randomized multi-thread interleavings from
+//! `rader-rng` seeds — every failure reproduces from its printed seed —
+//! plus a single-owner sequential model check against `VecDeque`, and
+//! the pool's panic/shutdown contract.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rader_cilk::deque::{ChaseLev, Steal};
-use rader_cilk::par::{ParRuntime, QueueKind};
+use rader_cilk::deque::MutexDeque;
+use rader_cilk::par::ParRuntime;
 use rader_rng::Rng;
 
-/// Steal until `Empty`, retrying lost races, appending into `out`.
-fn drain_as_thief(d: &ChaseLev<usize>, out: &mut Vec<usize>) {
-    loop {
-        match d.steal() {
-            Steal::Taken(v) => out.push(v),
-            Steal::Retry => {}
-            Steal::Empty => return,
-        }
+/// Steal until empty, appending into `out`.
+fn drain_as_thief(d: &MutexDeque<usize>, out: &mut Vec<usize>) {
+    while let Some(v) = d.steal() {
+        out.push(v);
     }
 }
 
@@ -36,7 +32,7 @@ fn drain_as_thief(d: &ChaseLev<usize>, out: &mut Vec<usize>) {
 fn sequential_ops_match_vecdeque_model() {
     for seed in 0..32u64 {
         let mut rng = Rng::seed_from_u64(0xDE9E_0000 + seed);
-        let d = ChaseLev::new();
+        let d = MutexDeque::new();
         let mut model: VecDeque<usize> = VecDeque::new();
         let mut next = 0usize;
         for _ in 0..4_096 {
@@ -52,11 +48,7 @@ fn sequential_ops_match_vecdeque_model() {
                     assert_eq!(got, want, "seed {seed}: owner pop diverged from model");
                 }
                 _ => {
-                    let got = match d.steal() {
-                        Steal::Taken(v) => Some(v),
-                        Steal::Empty => None,
-                        Steal::Retry => panic!("seed {seed}: Retry with no contention"),
-                    };
+                    let got = d.steal();
                     let want = model.pop_front();
                     assert_eq!(got, want, "seed {seed}: thief steal diverged from model");
                 }
@@ -78,7 +70,7 @@ fn concurrent_interleavings_conserve_elements() {
         let pop_bias = rng.gen_range(0..100u32);
         let owner_seed = rng.next_u64();
 
-        let d = Arc::new(ChaseLev::new());
+        let d = Arc::new(MutexDeque::new());
         let done = Arc::new(AtomicBool::new(false));
         let (mut popped, stolen): (Vec<usize>, Vec<usize>) = std::thread::scope(|s| {
             let thieves: Vec<_> = (0..nthieves)
@@ -89,9 +81,8 @@ fn concurrent_interleavings_conserve_elements() {
                         let mut local = Vec::new();
                         loop {
                             match d.steal() {
-                                Steal::Taken(v) => local.push(v),
-                                Steal::Retry => {}
-                                Steal::Empty => {
+                                Some(v) => local.push(v),
+                                None => {
                                     if done.load(Ordering::Acquire) {
                                         // Final drain after the owner
                                         // quiesced, then exit.
@@ -148,13 +139,13 @@ fn concurrent_interleavings_conserve_elements() {
 
 /// Per-thief FIFO: a single thief's steal sequence must be strictly
 /// increasing (it always takes the current oldest element), even while
-/// the owner pushes and pops concurrently and growth churns buffers.
+/// the owner pushes and pops concurrently.
 #[test]
 fn single_thief_observes_fifo_order() {
     for seed in 0..16u64 {
         let mut rng = Rng::seed_from_u64(0xF1F0_0000 + seed);
         let total = rng.gen_range(4_000..8_000usize);
-        let d = Arc::new(ChaseLev::new());
+        let d = Arc::new(MutexDeque::new());
         let done = Arc::new(AtomicBool::new(false));
         let stolen = std::thread::scope(|s| {
             let thief = {
@@ -164,9 +155,8 @@ fn single_thief_observes_fifo_order() {
                     let mut local = Vec::new();
                     while !done.load(Ordering::Acquire) {
                         match d.steal() {
-                            Steal::Taken(v) => local.push(v),
-                            Steal::Retry => {}
-                            Steal::Empty => std::thread::yield_now(),
+                            Some(v) => local.push(v),
+                            None => std::thread::yield_now(),
                         }
                     }
                     drain_as_thief(&d, &mut local);
@@ -200,79 +190,48 @@ fn single_thief_observes_fifo_order() {
 /// pool must still shut down leak-exact: every queued-but-unrun job's
 /// captures dropped, every helper thread joined. The `Arc` sentinel held
 /// by all 64 jobs pins the leak-exactness; the test completing at all
-/// pins the no-hang claim. Runs on both queue implementations.
+/// pins the no-hang claim.
 #[test]
 fn worker_panic_propagates_to_caller_and_shuts_down_leak_exact() {
-    for kind in [QueueKind::ChaseLev, QueueKind::Mutex] {
-        let sentinel = Arc::new(());
-        let result = {
-            let sentinel = sentinel.clone();
-            catch_unwind(AssertUnwindSafe(move || {
-                let rt = ParRuntime::new(4).with_queue(kind);
-                rt.run(move |cx| {
-                    for i in 0..64usize {
-                        let token = sentinel.clone();
-                        cx.spawn(move |cx| {
-                            // Nested spawn so the panic crosses a frame
-                            // boundary: the grandchild unwinds, the
-                            // child's implicit sync re-raises, and the
-                            // root sync re-raises again.
-                            let token = token;
-                            cx.spawn(move |_| {
-                                let _held = token;
-                                if i == 13 {
-                                    panic!("worker panic 13");
-                                }
-                            });
-                            cx.sync();
-                        });
-                    }
-                    cx.sync();
-                });
-            }))
-        };
-        let payload = match result {
-            Err(payload) => payload,
-            Ok(()) => panic!("kind={kind:?}: panic did not propagate"),
-        };
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or_else(|| panic!("kind={kind:?}: non-str panic payload"));
-        assert_eq!(msg, "worker panic 13", "kind={kind:?}");
-        assert_eq!(
-            Arc::strong_count(&sentinel),
-            1,
-            "kind={kind:?}: shutdown leaked job captures"
-        );
-    }
-}
-
-/// Dropping a deque with unclaimed elements (across several buffer
-/// growths, so retired buffers exist) must drop each element exactly
-/// once and free every buffer generation without touching stolen ones.
-#[test]
-fn drop_after_growth_is_leak_free_and_exact() {
     let sentinel = Arc::new(());
-    {
-        let d = ChaseLev::new();
-        // Push well past several doublings of the 64-slot initial
-        // buffer, stealing some along the way so the window shifts.
-        for i in 0..1_000usize {
-            d.push(sentinel.clone());
-            if i % 7 == 0 {
-                match d.steal() {
-                    Steal::Taken(v) => drop(v),
-                    other => panic!("unexpected {other:?}"),
+    let result = {
+        let sentinel = sentinel.clone();
+        catch_unwind(AssertUnwindSafe(move || {
+            let rt = ParRuntime::new(4);
+            rt.run(move |cx| {
+                for i in 0..64usize {
+                    let token = sentinel.clone();
+                    cx.spawn(move |cx| {
+                        // Nested spawn so the panic crosses a frame
+                        // boundary: the grandchild unwinds, the child's
+                        // implicit sync re-raises, and the root sync
+                        // re-raises again.
+                        let token = token;
+                        cx.spawn(move |_| {
+                            let _held = token;
+                            if i == 13 {
+                                panic!("worker panic 13");
+                            }
+                        });
+                        cx.sync();
+                    });
                 }
-            }
-        }
-        let live = 1_000 - 1_000usize.div_ceil(7);
-        assert_eq!(Arc::strong_count(&sentinel), live + 1);
-    }
+                cx.sync();
+            });
+        }))
+    };
+    let payload = match result {
+        Err(payload) => payload,
+        Ok(()) => panic!("panic did not propagate"),
+    };
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .unwrap_or_else(|| panic!("non-str panic payload"));
+    assert_eq!(msg, "worker panic 13");
     assert_eq!(
         Arc::strong_count(&sentinel),
         1,
-        "Drop leaked or double-freed"
+        "shutdown leaked job captures"
     );
 }

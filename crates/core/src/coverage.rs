@@ -20,6 +20,7 @@
 //! base case and merges the reports, giving the paper's coverage
 //! guarantee for races involving at least one view-oblivious strand.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,80 +68,32 @@ pub fn reduce_coverage_specs(k: u32) -> Vec<StealSpec> {
     specs
 }
 
-/// How a parallel sweep distributes specifications across its threads.
-///
-/// Both schedulers operate on the *chunk* list produced by the sweep's
-/// [`ChunkPolicy`]: a chunk is a run of consecutive spec indices claimed
-/// as one unit, so the claim count is identical across schedulers and
-/// thread counts (and so are the reports — results are index-sorted
-/// before merging either way).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SweepScheduler {
-    /// Threads pull the next unclaimed chunk from a shared atomic
-    /// counter. Self-balancing: the `EveryBlock` reduce triples cost far
-    /// more than the `AtSpawnCount` update specs, and a fixed partition
-    /// can strand all the expensive ones on one thread while the others
-    /// idle. This is the default.
-    #[default]
-    WorkQueue,
-    /// Thread `t` of `n` statically takes chunks `t, t+n, t+2n, …`
-    /// (round-robin). Kept for the scheduler benchmarks and as a
-    /// debugging aid; produces identical reports, just worse balance.
-    Strided,
-}
-
-/// Chunk length used by [`ChunkPolicy::Family`] for the cheap spec
-/// families (`None` / `AtSpawnCount`).
+/// Chunk length for the cheap spec families (`None` / `AtSpawnCount`).
 pub const UPDATE_CHUNK: usize = 16;
 
-/// How the parallel sweep batches spec indices into claims.
+/// Split `specs[first..]` into claimable chunks, sized by spec family.
 ///
-/// An `AtSpawnCount` replay is microseconds, so at high thread counts
-/// the shared claim counter becomes the hot cache line if every spec is
+/// An `AtSpawnCount` replay is microseconds, so at high thread counts the
+/// shared claim counter becomes the hot cache line if every spec is
 /// claimed individually; a cubic `EveryBlock` triple re-runs the whole
-/// reduce machinery, so batching those only *hurts* balance. Chunk sizes
-/// therefore follow the spec family (see the policy table in DESIGN.md).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChunkPolicy {
-    /// One spec per claim — the pre-chunking behavior, kept as the
-    /// `sweep_chunking` bench baseline.
-    PerSpec,
-    /// Family-sized chunks: cheap specs (`None` and the Theorem-6
-    /// `AtSpawnCount` update family) are claimed [`UPDATE_CHUNK`] at a
-    /// time; every `EveryBlock` reduce spec (and any other expensive
-    /// kind) is its own chunk. The default.
-    #[default]
-    Family,
-    /// Fixed chunk length for every spec (clamped to ≥ 1). For
-    /// experiments; `Fixed(1)` is equivalent to `PerSpec`.
-    Fixed(usize),
-}
-
-/// Split `specs[first..]` into claimable chunks under `policy`. Chunks
-/// are contiguous, ordered, and cover every index exactly once, so the
-/// sweep's result set — and its claim count, `chunks.len()` — is a pure
-/// function of the spec list and policy, independent of thread count and
-/// scheduler.
-fn plan_chunks(specs: &[StealSpec], first: usize, policy: ChunkPolicy) -> Vec<(usize, usize)> {
+/// reduce machinery, so batching those only *hurts* balance. Cheap specs
+/// (`None` and the Theorem-6 update family) are therefore claimed
+/// [`UPDATE_CHUNK`] at a time, and every other spec is its own chunk.
+///
+/// Chunks are contiguous, ordered, and cover every index exactly once,
+/// so the sweep's result set — and its claim count, `chunks.len()` — is a
+/// pure function of the spec list, independent of thread count.
+fn plan_chunks(specs: &[StealSpec], first: usize) -> Vec<(usize, usize)> {
     let cheap = |s: &StealSpec| matches!(s, StealSpec::None | StealSpec::AtSpawnCount(_));
     let mut chunks = Vec::new();
     let mut i = first;
     while i < specs.len() {
-        let len = match policy {
-            ChunkPolicy::PerSpec => 1,
-            ChunkPolicy::Fixed(n) => n.max(1).min(specs.len() - i),
-            ChunkPolicy::Family => {
-                if cheap(&specs[i]) {
-                    let mut l = 1;
-                    while l < UPDATE_CHUNK && i + l < specs.len() && cheap(&specs[i + l]) {
-                        l += 1;
-                    }
-                    l
-                } else {
-                    1
-                }
+        let mut len = 1;
+        if cheap(&specs[i]) {
+            while len < UPDATE_CHUNK && i + len < specs.len() && cheap(&specs[i + len]) {
+                len += 1;
             }
-        };
+        }
         chunks.push((i, i + len));
         i += len;
     }
@@ -247,10 +200,6 @@ pub struct CoverageOptions {
     /// back to honest re-execution automatically). `false` forces
     /// re-execution for every run.
     pub replay: bool,
-    /// How [`exhaustive_check_parallel`] distributes specs over threads.
-    pub scheduler: SweepScheduler,
-    /// How spec indices are batched into per-thread claims.
-    pub chunking: ChunkPolicy,
 }
 
 impl Default for CoverageOptions {
@@ -261,8 +210,6 @@ impl Default for CoverageOptions {
             max_k: None,
             max_spawn_count: None,
             replay: true,
-            scheduler: SweepScheduler::WorkQueue,
-            chunking: ChunkPolicy::Family,
         }
     }
 }
@@ -320,7 +267,7 @@ fn sweep_one(
 /// Wall-clock cost of each phase of an exhaustive sweep, in nanoseconds.
 /// Sweep regressions hide easily inside an aggregate number; the suite
 /// CLI surfaces this breakdown so a slow record pass (program got more
-/// expensive) reads differently from a slow sweep (scheduler or replay
+/// expensive) reads differently from a slow sweep (claim loop or replay
 /// regressed) or a slow merge (report handling regressed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepTiming {
@@ -357,10 +304,9 @@ pub struct ExhaustiveReport {
     /// Measured maximum spawn count `M`.
     pub m: u32,
     /// Chunk claims the sweep performed: the number of units of work
-    /// handed out by the scheduler ([`ChunkPolicy`] batches cheap specs,
-    /// so `claims < runs` whenever chunking amortized the shared
-    /// counter). A pure function of the spec list and chunk policy —
-    /// identical across thread counts and schedulers.
+    /// handed out to its threads (cheap specs are claimed in batches, so
+    /// `claims < runs` whenever chunking amortized the shared counter).
+    /// A pure function of the spec list — identical across thread counts.
     pub claims: usize,
     /// Total SP+ access checks performed across every run of the sweep
     /// (including the record pass and any divergence fallbacks).
@@ -474,21 +420,18 @@ pub fn exhaustive_check(
 /// serial runs), and the runs share nothing, so this scales nearly
 /// linearly. Findings are returned in deterministic (spec) order: worker
 /// results are index-sorted before merging, so the merged report is
-/// byte-identical across thread counts and scheduler choices.
+/// byte-identical across thread counts.
 ///
-/// Specs are handed out from a shared atomic work queue by default
-/// ([`SweepScheduler::WorkQueue`]): spec costs are wildly uneven (an
-/// `EveryBlock` reduce triple re-runs the whole program's reduce
-/// machinery; an `AtSpawnCount` update spec may steal once), so a static
-/// partition can leave one thread holding every expensive spec while the
-/// rest idle. Claims are batched by the [`ChunkPolicy`]: the cheap
-/// update family is handed out [`UPDATE_CHUNK`] specs at a time (an
-/// `AtSpawnCount` replay is microseconds — claimed singly, the shared
-/// counter becomes the hot cache line at high thread counts), while
-/// every `EveryBlock` spec remains its own claim so balance is
-/// unaffected where it matters. Each worker pools one [`SpPlus`] instance across all its
-/// runs (the engine's `begin_run` hook resets it in place), so a sweep
-/// allocates O(threads) bag forests, not O(specs).
+/// Threads claim chunks of specs from one shared atomic counter: spec
+/// costs are wildly uneven (an `EveryBlock` reduce triple re-runs the
+/// whole program's reduce machinery; an `AtSpawnCount` update spec may
+/// steal once), so a static partition could leave one thread holding
+/// every expensive spec while the rest idle. The cheap update family is
+/// claimed [`UPDATE_CHUNK`] specs at a time, while every `EveryBlock`
+/// spec remains its own claim so balance is unaffected where it matters.
+/// Each worker pools one [`SpPlus`] instance across all its runs (the
+/// engine's `begin_run` hook resets it in place), so a sweep allocates
+/// O(threads) bag forests, not O(specs).
 pub fn exhaustive_check_parallel(
     program: impl Fn(&mut Ctx<'_>) + Sync,
     opts: &CoverageOptions,
@@ -565,14 +508,13 @@ fn minimize_panicking_spec(
 /// count — deterministic even for the partial run — carries forward).
 fn sweep_chunk(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
-    trace: Option<&ProgramTrace>,
-    specs: &[StealSpec],
+    plan: &SweepPlan,
     chunk_index: usize,
-    span: (usize, usize),
     tool: &mut SpPlus,
     faults: Option<&FaultPlan>,
 ) -> ChunkRecord {
-    let (start, end) = span;
+    let (start, end) = plan.chunks[chunk_index];
+    let specs = &plan.specs;
     let before = tool.checks;
     let mut outcomes = Vec::with_capacity(end - start);
     for i in start..end {
@@ -588,7 +530,7 @@ fn sweep_chunk(
                     faults.map_or(0, FaultPlan::seed)
                 );
             }
-            sweep_one(program, trace, &specs[i], tool)
+            sweep_one(program, plan.trace.as_ref(), &specs[i], tool)
         }));
         match result {
             Ok((report, replayed)) => outcomes.push(SpecOutcome::Checked { report, replayed }),
@@ -639,129 +581,160 @@ pub fn exhaustive_check_parallel_ctl(
     threads: usize,
     ctl: &SweepControl,
 ) -> Result<ExhaustiveReport, String> {
-    // Every sweep starts with the no-steal specification, and recording
-    // happens under the no-steal schedule — so in replay mode the record
-    // pass *is* the first detection run (the recorder is a passive extra
-    // hook on an ordinary SP+ run). With replay disabled, a plain
-    // uninstrumented run measures K and M for spec planning instead; it
-    // is not counted in `runs`. A resumed sweep repeats this pass — the
-    // journal stores only sweep results, and re-recording keeps the
-    // trace/stats exactly as the interrupted run saw them.
+    let plan = plan_sweep(&program, opts);
+    let (done, writer) = open_journal(ctl, &plan)?;
+    let sweep_start = Instant::now();
+    let live = claim_chunks(&program, &plan, &done, writer, threads, ctl)?;
+    let sweep_ns = sweep_start.elapsed().as_nanos() as u64;
+    let record_ns = plan.record_ns;
+    let merge_start = Instant::now();
+    let mut report = merge_outcomes(plan, done, live);
+    report.timing = SweepTiming {
+        record_ns,
+        sweep_ns,
+        merge_ns: merge_start.elapsed().as_nanos() as u64,
+    };
+    Ok(report)
+}
+
+/// Everything a sweep fixes before its first claim: the recorded trace
+/// (replay mode only), the spec list and its chunk plan, and the outcome
+/// of the record pass.
+struct SweepPlan {
+    trace: Option<ProgramTrace>,
+    /// Statistics that sized the plan (bound into the journal
+    /// fingerprint).
+    stats: RunStats,
+    specs: Vec<StealSpec>,
+    k: u32,
+    m: u32,
+    chunks: Vec<(usize, usize)>,
+    /// The record pass's report, which serves spec 0 in replay mode.
+    base: Option<RaceReport>,
+    base_checks: u64,
+    record_ns: u64,
+}
+
+/// Run the record pass and plan the sweep's specs and chunks.
+///
+/// Every sweep starts with the no-steal specification, and recording
+/// happens under the no-steal schedule — so in replay mode the record
+/// pass *is* the first detection run (the recorder is a passive extra
+/// hook on an ordinary SP+ run). With replay disabled, a plain
+/// uninstrumented run measures K and M for spec planning instead; it is
+/// not counted in `runs`. A resumed sweep repeats this pass — the journal
+/// stores only sweep results, and re-recording keeps the trace and stats
+/// exactly as the interrupted run saw them.
+fn plan_sweep(program: &(impl Fn(&mut Ctx<'_>) + Sync), opts: &CoverageOptions) -> SweepPlan {
     let record_start = Instant::now();
     let (trace, stats, base, base_checks) = if opts.replay {
         let mut tool = SpPlus::new();
-        let trace = ProgramTrace::record_with_tool(&mut tool, &program);
+        let trace = ProgramTrace::record_with_tool(&mut tool, program);
         let stats = *trace.stats();
         let checks = tool.checks;
         (Some(trace), stats, Some(tool.into_report()), checks)
     } else {
-        (None, SerialEngine::new().run(&program), None, 0)
+        (None, SerialEngine::new().run(program), None, 0)
     };
     let record_ns = record_start.elapsed().as_nanos() as u64;
     let (specs, k, m) = plan_specs(&stats, opts);
-    let threads = threads.max(1).min(specs.len().max(1));
     // Index 0 (StealSpec::None) is already served when the record pass
     // ran as the first detection run.
-    let first = base.is_some() as usize;
-    // Batch the remaining specs into claims: the scheduler hands out
-    // whole chunks, so cheap `AtSpawnCount` replays stop hammering the
-    // shared counter while each cubic `EveryBlock` spec stays its own
-    // unit of balance.
-    let chunks = plan_chunks(&specs, first, opts.chunking);
-    let claims = chunks.len();
-    let order = claim_order(&specs, &chunks, ctl.budget.is_some());
-    let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
+    let chunks = plan_chunks(&specs, base.is_some() as usize);
+    SweepPlan {
+        trace,
+        stats,
+        specs,
+        k,
+        m,
+        chunks,
+        base,
+        base_checks,
+        record_ns,
+    }
+}
 
-    let fp = journal::fingerprint(&ctl.label, &stats, &specs, &chunks);
-    let mut done: std::collections::BTreeMap<usize, ChunkRecord> = Default::default();
-    let writer = match &ctl.checkpoint {
-        CheckpointPolicy::Off => None,
-        CheckpointPolicy::Record(path) => Some(JournalWriter::create(path, fp)?),
-        CheckpointPolicy::Resume(path) => {
-            if path.exists() {
-                let loaded = journal::load(path, fp)?;
-                for (idx, rec) in &loaded.chunks {
-                    if chunks.get(*idx) != Some(&(rec.spec_start, rec.spec_end)) {
-                        return Err(format!(
-                            "{}: journal chunk {idx} does not match the sweep plan",
-                            path.display()
-                        ));
-                    }
-                }
-                done = loaded.chunks;
-                Some(JournalWriter::append(path)?)
-            } else {
-                // Nothing to resume (e.g. the interrupted run never
-                // reached this workload): start a fresh journal.
-                Some(JournalWriter::create(path, fp)?)
-            }
+/// Open the checkpoint journal `ctl` asks for. Returns the chunks a
+/// resumed journal already holds (validated against the plan) and the
+/// writer that newly swept chunks append to.
+fn open_journal(
+    ctl: &SweepControl,
+    plan: &SweepPlan,
+) -> Result<(BTreeMap<usize, ChunkRecord>, Option<JournalWriter>), String> {
+    let fp = journal::fingerprint(&ctl.label, &plan.stats, &plan.specs, &plan.chunks);
+    match &ctl.checkpoint {
+        CheckpointPolicy::Off => Ok((BTreeMap::new(), None)),
+        CheckpointPolicy::Record(path) => {
+            Ok((BTreeMap::new(), Some(JournalWriter::create(path, fp)?)))
         }
-    };
+        CheckpointPolicy::Resume(path) if path.exists() => {
+            let loaded = journal::load(path, fp)?;
+            for (idx, rec) in &loaded.chunks {
+                if plan.chunks.get(*idx) != Some(&(rec.spec_start, rec.spec_end)) {
+                    return Err(format!(
+                        "{}: journal chunk {idx} does not match the sweep plan",
+                        path.display()
+                    ));
+                }
+            }
+            Ok((loaded.chunks, Some(JournalWriter::append(path)?)))
+        }
+        // Nothing to resume (e.g. the interrupted run never reached this
+        // workload): start a fresh journal.
+        CheckpointPolicy::Resume(path) => {
+            Ok((BTreeMap::new(), Some(JournalWriter::create(path, fp)?)))
+        }
+    }
+}
+
+/// Sweep every planned chunk the journal does not already hold, on
+/// `threads` workers that claim chunks in [`claim_order`] from one shared
+/// counter. Each completed chunk is journaled before it is kept. Workers
+/// stop claiming at the budget deadline or after any journal write error,
+/// which is returned. The chunks come back in completion order; the merge
+/// restores spec order.
+fn claim_chunks(
+    program: &(impl Fn(&mut Ctx<'_>) + Sync),
+    plan: &SweepPlan,
+    done: &BTreeMap<usize, ChunkRecord>,
+    writer: Option<JournalWriter>,
+    threads: usize,
+    ctl: &SweepControl,
+) -> Result<Vec<ChunkRecord>, String> {
+    let order = claim_order(&plan.specs, &plan.chunks, ctl.budget.is_some());
+    let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
+    let threads = threads.max(1).min(plan.specs.len().max(1));
     let writer = writer.map(Mutex::new);
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
-
-    let queue = AtomicUsize::new(0);
-    let sweep_start = Instant::now();
-    let live: Vec<ChunkRecord> = std::thread::scope(|scope| {
-        let program = &program;
-        let specs = &specs[..];
-        let chunks = &chunks[..];
-        let order = &order[..];
-        let done = &done;
-        let trace = trace.as_ref();
-        let queue = &queue;
-        let writer = writer.as_ref();
-        let journal_err = &journal_err;
-        let faults = ctl.faults.as_ref();
-        let scheduler = opts.scheduler;
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            handles.push(scope.spawn(move || {
-                let mut tool = SpPlus::new();
-                let mut local: Vec<ChunkRecord> = Vec::new();
-                // Claim the chunk at claim-order position `slot`; false
-                // means stop claiming (deadline hit or journal broken).
-                let work = |slot: usize, local: &mut Vec<ChunkRecord>, tool: &mut SpPlus| {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return false;
-                    }
-                    if lock(journal_err).is_some() {
-                        return false; // another worker hit a write error
-                    }
-                    let c = order[slot];
-                    if done.contains_key(&c) {
-                        return true; // already served by the journal
-                    }
-                    let rec = sweep_chunk(program, trace, specs, c, chunks[c], tool, faults);
-                    if let Some(w) = writer {
-                        if let Err(e) = lock(w).write_chunk(&rec) {
-                            *lock(journal_err) = Some(e);
-                            return false;
-                        }
-                    }
-                    local.push(rec);
-                    true
-                };
-                match scheduler {
-                    SweepScheduler::WorkQueue => loop {
-                        let slot = queue.fetch_add(1, Ordering::Relaxed);
-                        if slot >= order.len() || !work(slot, &mut local, &mut tool) {
-                            break;
-                        }
-                    },
-                    SweepScheduler::Strided => {
-                        let mut slot = t;
-                        while slot < order.len() {
-                            if !work(slot, &mut local, &mut tool) {
-                                break;
-                            }
-                            slot += threads;
-                        }
-                    }
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut tool = SpPlus::new();
+        let mut local = Vec::new();
+        loop {
+            let slot = next.fetch_add(1, Ordering::Relaxed);
+            if slot >= order.len()
+                || deadline.is_some_and(|d| Instant::now() >= d)
+                || lock(&journal_err).is_some()
+            {
+                break;
+            }
+            let c = order[slot];
+            if done.contains_key(&c) {
+                continue; // already served by the journal
+            }
+            let rec = sweep_chunk(program, plan, c, &mut tool, ctl.faults.as_ref());
+            if let Some(w) = &writer {
+                if let Err(e) = lock(w).write_chunk(&rec) {
+                    *lock(&journal_err) = Some(e);
+                    break;
                 }
-                local
-            }));
+            }
+            local.push(rec);
         }
+        local
+    };
+    let live = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
         let mut all = Vec::new();
         for h in handles {
             match h.join() {
@@ -771,18 +744,33 @@ pub fn exhaustive_check_parallel_ctl(
         }
         all
     });
-    if let Some(err) = journal_err
+    match journal_err
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
     {
-        return Err(err);
+        Some(err) => Err(err),
+        None => Ok(live),
     }
-    let sweep_ns = sweep_start.elapsed().as_nanos() as u64;
+}
 
-    // Assemble per-spec outcomes from the journal, the live results, and
-    // the base run, then fold in strict spec-index order — this is what
-    // makes resumed, multi-threaded, and budgeted runs merge-identical.
-    let merge_start = Instant::now();
+/// Fold every spec's outcome — from the journal, the live sweep, and the
+/// record pass — into the sweep's report, in strict spec-index order.
+/// That order is what makes resumed, multi-threaded, and budgeted sweeps
+/// merge-identical. Timings are left zero for the caller to fill in.
+fn merge_outcomes(
+    plan: SweepPlan,
+    done: BTreeMap<usize, ChunkRecord>,
+    live: Vec<ChunkRecord>,
+) -> ExhaustiveReport {
+    let SweepPlan {
+        specs,
+        k,
+        m,
+        chunks,
+        base,
+        base_checks,
+        ..
+    } = plan;
     let mut slots: Vec<Option<SpecOutcome>> = (0..specs.len()).map(|_| None).collect();
     let mut checks = base_checks;
     for rec in done.into_values().chain(live) {
@@ -798,28 +786,7 @@ pub fn exhaustive_check_parallel_ctl(
             replayed: true,
         });
     }
-    let mut fam_order: Vec<&'static str> = Vec::new();
-    let mut fam_counts: std::collections::BTreeMap<&'static str, (usize, usize)> =
-        Default::default();
-    for (i, slot) in slots.iter().enumerate() {
-        let name = family_name(&specs[i]);
-        if !fam_order.contains(&name) {
-            fam_order.push(name);
-        }
-        let entry = fam_counts.entry(name).or_insert((0, 0));
-        entry.1 += 1;
-        if slot.is_none() {
-            entry.0 += 1;
-        }
-    }
-    let uncovered: Vec<String> = fam_order
-        .iter()
-        .filter_map(|name| {
-            let (missing, total) = fam_counts[name];
-            (missing > 0).then(|| format!("{name}: {missing} of {total} unswept"))
-        })
-        .collect();
-    let partial = !uncovered.is_empty();
+    let uncovered = uncovered_families(&specs, &slots);
     let mut merger = ReportMerger::new();
     let mut findings = Vec::new();
     let mut quarantined = Vec::new();
@@ -853,25 +820,46 @@ pub fn exhaustive_check_parallel_ctl(
             None => {}
         }
     }
-    let merge_ns = merge_start.elapsed().as_nanos() as u64;
-    Ok(ExhaustiveReport {
+    ExhaustiveReport {
         report: merger.finish(),
         findings,
         runs,
         replayed,
         k,
         m,
-        claims,
+        claims: chunks.len(),
         spplus_checks: checks,
-        partial,
+        partial: !uncovered.is_empty(),
         uncovered,
         quarantined,
-        timing: SweepTiming {
-            record_ns,
-            sweep_ns,
-            merge_ns,
-        },
-    })
+        timing: SweepTiming::default(),
+    }
+}
+
+/// Per-family counts of planned specs that have no outcome (neither
+/// swept nor quarantined), in plan order of first appearance, e.g.
+/// `"EveryBlock reduce triples (Theorem 7): 12 of 20 unswept"`.
+fn uncovered_families(specs: &[StealSpec], slots: &[Option<SpecOutcome>]) -> Vec<String> {
+    let mut families: Vec<(&'static str, usize, usize)> = Vec::new();
+    for (spec, slot) in specs.iter().zip(slots) {
+        let name = family_name(spec);
+        let pos = match families.iter().position(|f| f.0 == name) {
+            Some(pos) => pos,
+            None => {
+                families.push((name, 0, 0));
+                families.len() - 1
+            }
+        };
+        families[pos].2 += 1;
+        if slot.is_none() {
+            families[pos].1 += 1;
+        }
+    }
+    families
+        .into_iter()
+        .filter(|&(_, missing, _)| missing > 0)
+        .map(|(name, missing, total)| format!("{name}: {missing} of {total} unswept"))
+        .collect()
 }
 
 /// Minimize a race-exposing `EveryBlock` steal specification: greedily
@@ -1084,7 +1072,7 @@ mod tests {
             ..RunStats::default()
         };
         let (specs, _, _) = plan_specs(&stats, &CoverageOptions::default());
-        let chunks = plan_chunks(&specs, 1, ChunkPolicy::Family);
+        let chunks = plan_chunks(&specs, 1);
         // Coverage: contiguous, ordered, exactly once.
         let mut next = 1;
         for &(s, e) in &chunks {
@@ -1112,21 +1100,13 @@ mod tests {
             .filter(|&&(s, _)| matches!(specs[s], StealSpec::AtSpawnCount(_)))
             .count();
         assert_eq!(cheap_chunks, 2);
-        // PerSpec and Fixed behave as documented.
-        assert_eq!(
-            plan_chunks(&specs, 1, ChunkPolicy::PerSpec).len(),
-            specs.len() - 1
-        );
-        for (s, e) in plan_chunks(&specs, 1, ChunkPolicy::Fixed(7)) {
-            assert!(e - s <= 7);
-        }
     }
 
     #[test]
-    fn chunk_policies_and_threads_agree_byte_for_byte() {
-        // Acceptance: sweep reports byte-identical across thread counts,
-        // schedulers, and chunk sizes. Claims are a pure function of the
-        // plan, so they must agree across thread counts too.
+    fn threads_agree_byte_for_byte() {
+        // Acceptance: sweep reports byte-identical across thread counts.
+        // Claims are a pure function of the plan, so they must agree
+        // across thread counts too.
         let program = |cx: &mut Ctx<'_>| {
             let a = cx.alloc(1);
             for i in 0..8 {
@@ -1140,38 +1120,20 @@ mod tests {
             cx.sync();
         };
         let base = exhaustive_check(program, &CoverageOptions::default());
-        assert!(base.claims < base.runs, "Family chunking must batch claims");
-        for chunking in [
-            ChunkPolicy::PerSpec,
-            ChunkPolicy::Family,
-            ChunkPolicy::Fixed(4),
-        ] {
-            for scheduler in [SweepScheduler::WorkQueue, SweepScheduler::Strided] {
-                for threads in [1, 2, 4] {
-                    let opts = CoverageOptions {
-                        chunking,
-                        scheduler,
-                        ..CoverageOptions::default()
-                    };
-                    let rep = exhaustive_check_parallel(program, &opts, threads);
-                    assert_eq!(
-                        rep.report, base.report,
-                        "{chunking:?}/{scheduler:?}/{threads}"
-                    );
-                    assert_eq!(rep.findings, base.findings);
-                    assert_eq!(rep.runs, base.runs);
-                    assert_eq!(rep.spplus_checks, base.spplus_checks);
-                    assert_eq!(
-                        format!("{}", rep.report),
-                        format!("{}", base.report),
-                        "rendered report must be byte-identical"
-                    );
-                    // Claims depend only on the chunk policy, never on
-                    // threads or scheduler.
-                    let expect_claims = exhaustive_check_parallel(program, &opts, 1).claims;
-                    assert_eq!(rep.claims, expect_claims);
-                }
-            }
+        assert!(base.claims < base.runs, "family chunking must batch claims");
+        for threads in [1, 2, 4] {
+            let rep = exhaustive_check_parallel(program, &CoverageOptions::default(), threads);
+            assert_eq!(rep.report, base.report, "threads={threads}");
+            assert_eq!(rep.findings, base.findings);
+            assert_eq!(rep.runs, base.runs);
+            assert_eq!(rep.spplus_checks, base.spplus_checks);
+            assert_eq!(
+                format!("{}", rep.report),
+                format!("{}", base.report),
+                "rendered report must be byte-identical"
+            );
+            // Claims depend only on the plan, never on threads.
+            assert_eq!(rep.claims, base.claims);
         }
     }
 
@@ -1203,7 +1165,7 @@ mod tests {
             ..RunStats::default()
         };
         let (specs, _, _) = plan_specs(&stats, &CoverageOptions::default());
-        let chunks = plan_chunks(&specs, 1, ChunkPolicy::PerSpec);
+        let chunks = plan_chunks(&specs, 1);
         let identity: Vec<usize> = (0..chunks.len()).collect();
         assert_eq!(claim_order(&specs, &chunks, false), identity);
         let order = claim_order(&specs, &chunks, true);
@@ -1279,20 +1241,12 @@ mod tests {
         // The race is schedule-independent, so losing one update spec
         // does not lose the finding.
         assert!(rep.report.has_races());
-        // Quarantine is deterministic across thread counts & schedulers.
-        for threads in [1, 4] {
-            for scheduler in [SweepScheduler::WorkQueue, SweepScheduler::Strided] {
-                let again = exhaustive_check_parallel_ctl(
-                    racy8,
-                    &CoverageOptions { scheduler, ..opts },
-                    threads,
-                    &ctl,
-                )
-                .unwrap();
-                assert_eq!(again.quarantined, rep.quarantined);
-                assert_eq!(again.report, rep.report);
-                assert_eq!(again.spplus_checks, rep.spplus_checks);
-            }
+        // Quarantine is deterministic across thread counts.
+        for threads in [1, 2, 4] {
+            let again = exhaustive_check_parallel_ctl(racy8, &opts, threads, &ctl).unwrap();
+            assert_eq!(again.quarantined, rep.quarantined, "threads={threads}");
+            assert_eq!(again.report, rep.report);
+            assert_eq!(again.spplus_checks, rep.spplus_checks);
         }
     }
 

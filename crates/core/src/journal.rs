@@ -144,7 +144,9 @@ pub fn decode_spec(b: &[u8], i: &mut usize) -> Result<StealSpec, String> {
         0 => Ok(StealSpec::None),
         1 => {
             let n = take_u32(b, i, "script length")?;
-            let mut ops = Vec::with_capacity(n as usize);
+            // Every op takes at least one byte, so what remains bounds a
+            // sane length; a crafted one must not size the allocation.
+            let mut ops = Vec::with_capacity((n as usize).min(b.len().saturating_sub(*i)));
             for _ in 0..n {
                 match take::<1>(b, i, "block op")?[0] {
                     0 => ops.push(BlockOp::Steal(take_u32(b, i, "steal index")?)),
@@ -280,7 +282,9 @@ impl ChunkRecord {
             return Err(format!("chunk {chunk_index} has inverted spec range"));
         }
         let checks_delta = take_u64(b, &mut i, "checks delta")?;
-        let mut outcomes = Vec::with_capacity(spec_end - spec_start);
+        // Every outcome takes at least one byte: bound the capacity by
+        // what remains, not by a range read from the file.
+        let mut outcomes = Vec::with_capacity((spec_end - spec_start).min(b.len() - i));
         for _ in spec_start..spec_end {
             match take::<1>(b, &mut i, "outcome tag")?[0] {
                 0 => {
@@ -451,7 +455,8 @@ pub fn load(path: &Path, expected_fp: u64) -> Result<LoadedJournal, String> {
                  (stored {checksum:#018x}, computed {actual:#018x})"
             ));
         }
-        let record = ChunkRecord::decode(payload).map_err(|e| format!("{name}: {e}"))?;
+        let record = ChunkRecord::decode(payload)
+            .map_err(|e| format!("{name}: bad record at byte {at}: {e}"))?;
         journal.chunks.entry(record.chunk_index).or_insert(record);
     }
     Ok(journal)

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # rader-core
 //!
@@ -48,20 +49,17 @@ pub mod peerset;
 pub mod report;
 pub mod shadow;
 pub mod spbags;
-pub mod sporder;
 pub mod spplus;
 
 pub use coverage::{
     exhaustive_check, exhaustive_check_parallel, exhaustive_check_parallel_ctl, minimize_spec,
-    ChunkPolicy, CoverageOptions, ExhaustiveReport, Quarantined, SweepControl, SweepScheduler,
-    SweepTiming,
+    CoverageOptions, ExhaustiveReport, Quarantined, SweepControl, SweepTiming,
 };
 pub use fault::{Fault, FaultPlan};
 pub use journal::{CheckpointPolicy, SCHEMA_VERSION};
 pub use peerset::PeerSet;
 pub use report::{AccessInfo, DeterminacyRace, RaceReport, ViewReadRace};
 pub use spbags::SpBags;
-pub use sporder::SpOrder;
 pub use spplus::SpPlus;
 
 use rader_cilk::{Ctx, RunStats, SerialEngine, StealSpec};

@@ -279,48 +279,3 @@ fn racefree_results_are_schedule_invariant() {
         }
     }
 }
-
-/// SP-order (our implementation of the Bender et al. algorithm the
-/// paper's related work cites as unimplemented) agrees with SP-bags and
-/// with the oracle on no-steal computations.
-#[test]
-fn sporder_matches_spbags_and_oracle() {
-    use rader_core::SpOrder;
-    for (reducers, aliasing) in [(0u32, false), (2, false), (2, true)] {
-        let cfg = GenConfig {
-            reducers,
-            view_aliasing: aliasing,
-            ..GenConfig::default()
-        };
-        for seed in 0..120 {
-            let prog = gen_program(seed, &cfg);
-            let mut so = SpOrder::new();
-            SerialEngine::new().run_tool(&mut so, |cx| {
-                run_synth(cx, &prog);
-            });
-            let mut sb = SpBags::new();
-            SerialEngine::new().run_tool(&mut sb, |cx| {
-                run_synth(cx, &prog);
-            });
-            assert_eq!(
-                so.report().racy_locs(),
-                sb.report().racy_locs(),
-                "SP-order vs SP-bags: seed {seed} cfg ({reducers},{aliasing})"
-            );
-            let events = run_program(&StealSpec::None, &prog);
-            // Without steals every access shares the single view, so the
-            // oracle's view condition never fires and SP-bags semantics
-            // coincide with the determinacy oracle... except when e2 is
-            // view-aware on the same view (oracle: same view → no race,
-            // SP-bags: race). Restrict the comparison to SP+ which is
-            // exact, transitively tying SP-order to the oracle where the
-            // detectors agree.
-            let spplus = spplus_racy_locs(&StealSpec::None, &prog);
-            let oracle = oracle_determinacy_races(&events);
-            assert_eq!(spplus, oracle, "seed {seed}");
-            if reducers == 0 {
-                assert_eq!(so.report().racy_locs(), oracle, "seed {seed}");
-            }
-        }
-    }
-}

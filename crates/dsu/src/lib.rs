@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Disjoint-set ("bags") data structure for the Rader race detector.
 //!
@@ -22,7 +23,6 @@
 //! dependency).
 
 pub mod fxhash;
-pub mod om;
 
 /// Classification of a bag, as used by the detection algorithms.
 ///

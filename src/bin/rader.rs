@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `rader` — command-line interface to the race detector.
 //!
 //! Run `rader help` for usage. Exit codes: 0 clean, 1 races found
@@ -107,15 +108,6 @@ fn cmd_suite(o: &SuiteOpts) {
         max_k: o.max_k,
         max_spawn_count: o.max_spawn_count,
         replay: !o.reexecute,
-        scheduler: if o.strided {
-            rader::core::SweepScheduler::Strided
-        } else {
-            rader::core::SweepScheduler::WorkQueue
-        },
-        chunking: match o.chunk {
-            Some(n) => rader::core::ChunkPolicy::Fixed(n),
-            None => rader::core::ChunkPolicy::Family,
-        },
         checkpoint: o.checkpoint.clone(),
         resume: o.resume.clone(),
         budget: o.budget.map(Duration::from_secs_f64),
@@ -179,8 +171,8 @@ fn cmd_suite(o: &SuiteOpts) {
     // JSON report must remain deterministic.
     let pool = suite::pool_smoke(opts.threads);
     println!(
-        "pool-smoke: queue={:?} workers={} tasks={} steals={} retries={}",
-        pool.queue, pool.workers, pool.tasks, pool.steals, pool.steal_retries
+        "pool-smoke: workers={} tasks={} steals={}",
+        pool.workers, pool.tasks, pool.steals
     );
     for w in report.workloads.iter().filter(|w| !w.clean()) {
         println!("\n## {} races", w.name);

@@ -16,14 +16,10 @@ pub const USAGE: &str = "usage: rader <command> [options]
   fig1                         detect the paper's Figure-1 races
   suite [--paper] [--racy] [--json PATH] [--threads N]
         [--max-k N] [--max-spawn-count N] [--reexecute]
-        [--strided] [--chunk N]
         [--checkpoint PATH | --resume PATH] [--budget SECS]
         [--fault-seed N] [--fault-panic-at N]
                                run the benchmark table under the full
                                Section-7 sweep; exit 1 if races found.
-                               --strided uses round-robin scheduling,
-                               --chunk fixes the claim chunk size
-                               (default: family-sized chunks).
                                --checkpoint journals completed chunks to
                                PATH.<workload>.ckpt; --resume validates
                                and continues such journals; --budget
@@ -86,11 +82,6 @@ pub struct SuiteOpts {
     pub max_k: Option<u32>,
     /// Cap on the update-family spawn count `M`.
     pub max_spawn_count: Option<u32>,
-    /// Use the static round-robin sweep scheduler instead of the shared
-    /// work queue.
-    pub strided: bool,
-    /// Fixed claim chunk size (overrides the family-sized default).
-    pub chunk: Option<usize>,
     /// Journal completed sweep chunks to `PATH.<workload>.ckpt`.
     pub checkpoint: Option<String>,
     /// Resume from (and keep appending to) `PATH.<workload>.ckpt`
@@ -215,8 +206,6 @@ fn parse_suite(args: &[String]) -> Result<SuiteOpts, String> {
             "--max-spawn-count" => {
                 o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")? as u32)
             }
-            "--strided" => o.strided = true,
-            "--chunk" => o.chunk = Some(take_positive(args, &mut i, "--chunk")?),
             "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
             "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
             "--budget" => o.budget = Some(take_budget(args, &mut i)?),
@@ -346,13 +335,6 @@ mod tests {
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.max_k, Some(6));
         assert!(o.racy && !o.paper);
-        assert!(!o.strided);
-        assert_eq!(o.chunk, None);
-        let Ok(Command::Suite(o)) = parse_strs(&["suite", "--strided", "--chunk", "8"]) else {
-            panic!("suite scheduling flags did not parse");
-        };
-        assert!(o.strided);
-        assert_eq!(o.chunk, Some(8));
     }
 
     #[test]
@@ -430,8 +412,6 @@ mod tests {
         assert!(err.contains("--max-spawn-count"), "{err}");
         let err = parse_strs(&["suite", "--json"]).unwrap_err();
         assert!(err.contains("--json requires a file path"), "{err}");
-        let err = parse_strs(&["suite", "--chunk", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]
@@ -443,5 +423,9 @@ mod tests {
         assert!(err.contains("--jsn"), "{err}");
         let err = parse_strs(&["fig1", "--verbose"]).unwrap_err();
         assert!(err.contains("--verbose"), "{err}");
+        for args in [&["suite", "--strided"][..], &["suite", "--chunk", "8"]] {
+            let err = parse_strs(args).unwrap_err();
+            assert!(err.contains(args[1]), "{args:?}: {err}");
+        }
     }
 }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # rader
 //!
 //! Umbrella crate for **Rader-rs**, a from-scratch Rust reproduction of

@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 use rader_cilk::par::{ParRuntime, PoolStats};
 use rader_cilk::SerialEngine;
 use rader_core::{
-    coverage, CheckpointPolicy, ChunkPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined,
-    RaceReport, SweepControl, SweepScheduler, SCHEMA_VERSION,
+    coverage, CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined, RaceReport,
+    SweepControl, SCHEMA_VERSION,
 };
 use rader_workloads::Workload;
 
@@ -52,10 +52,6 @@ pub struct SuiteOptions {
     pub max_spawn_count: Option<u32>,
     /// Use the record/replay fast path (`false`: re-execute per spec).
     pub replay: bool,
-    /// How the sweep distributes spec chunks over threads.
-    pub scheduler: SweepScheduler,
-    /// How the sweep batches spec indices into claims.
-    pub chunking: ChunkPolicy,
     /// Record sweep checkpoints: each workload journals completed chunks
     /// to `{prefix}.{name}.ckpt` under this path prefix.
     pub checkpoint: Option<String>,
@@ -82,8 +78,6 @@ impl Default for SuiteOptions {
             max_k: None,
             max_spawn_count: None,
             replay: true,
-            scheduler: SweepScheduler::WorkQueue,
-            chunking: ChunkPolicy::Family,
             checkpoint: None,
             resume: None,
             budget: None,
@@ -110,8 +104,8 @@ pub struct WorkloadVerdict {
     /// Measured (capped) maximum spawn count `M`.
     pub m: u32,
     /// Chunk claims the sweep performed (deterministic: a pure function
-    /// of the spec plan and chunk policy; `claims < runs` whenever
-    /// chunked claiming amortized the shared counter).
+    /// of the spec plan; `claims < runs` whenever chunked claiming
+    /// amortized the shared counter).
     pub claims: usize,
     /// Total distinct races across both detectors.
     pub races: usize,
@@ -243,8 +237,6 @@ pub fn check_workload(w: &Workload, opts: &SuiteOptions) -> Result<WorkloadVerdi
         max_k: opts.max_k,
         max_spawn_count: opts.max_spawn_count,
         replay: opts.replay,
-        scheduler: opts.scheduler,
-        chunking: opts.chunking,
         ..CoverageOptions::default()
     };
     let checkpoint = match (&opts.resume, &opts.checkpoint) {
@@ -358,13 +350,13 @@ fn json_escape(s: &str) -> String {
 /// Validate that `s` is well-formed JSON (one top-level value). A
 /// dependency-free syntax check used by `rader json-check` so CI can
 /// verify `--json` output even where no system JSON tool is installed.
-/// Accepts exactly the grammar of RFC 8259; reports the byte offset of
-/// the first error.
+/// Accepts exactly the grammar of RFC 8259, up to 128 levels of arrays
+/// and objects; reports the byte offset of the first error.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut i = 0usize;
     skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
+    parse_value(b, &mut i, 0)?;
     skip_ws(b, &mut i);
     if i != b.len() {
         return Err(format!("trailing content at byte {i}"));
@@ -405,7 +397,7 @@ pub fn embedded_schema_version(s: &str) -> Option<u64> {
             parse_number(b, &mut i).ok()?;
             return s[num_start..i].parse().ok();
         }
-        parse_value(b, &mut i).ok()?;
+        parse_value(b, &mut i, 1).ok()?;
         skip_ws(b, &mut i);
         match b.get(i) {
             Some(b',') => i += 1,
@@ -420,11 +412,21 @@ fn skip_ws(b: &[u8], i: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
+/// Deepest array/object nesting [`validate_json`] accepts. Suite reports
+/// nest at most 4 deep; the cap bounds the recursive parser's stack on
+/// hostile input, which is rejected like any other invalid JSON.
+const MAX_NESTING: usize = 128;
+
+/// Parse one value at `b[*i..]`, which sits inside `depth` enclosing
+/// arrays and objects.
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
     match b.get(*i) {
         None => Err(format!("unexpected end of input at byte {i}")),
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
+        Some(b'{' | b'[') if depth >= MAX_NESTING => {
+            Err(format!("nesting deeper than {MAX_NESTING} at byte {i}"))
+        }
+        Some(b'{') => parse_object(b, i, depth + 1),
+        Some(b'[') => parse_array(b, i, depth + 1),
         Some(b'"') => parse_string(b, i),
         Some(b't') => parse_lit(b, i, "true"),
         Some(b'f') => parse_lit(b, i, "false"),
@@ -434,7 +436,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
+fn parse_object(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
     *i += 1; // '{'
     skip_ws(b, i);
     if b.get(*i) == Some(&b'}') {
@@ -453,7 +455,7 @@ fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
         }
         *i += 1;
         skip_ws(b, i);
-        parse_value(b, i)?;
+        parse_value(b, i, depth)?;
         skip_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
@@ -466,7 +468,7 @@ fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
+fn parse_array(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
     *i += 1; // '['
     skip_ws(b, i);
     if b.get(*i) == Some(&b']') {
@@ -475,7 +477,7 @@ fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
     }
     loop {
         skip_ws(b, i);
-        parse_value(b, i)?;
+        parse_value(b, i, depth)?;
         skip_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
@@ -670,6 +672,16 @@ mod tests {
         assert!(validate_json("\"unterminated").is_err());
         assert!(validate_json("01x").is_err());
         assert!(validate_json("[1] trailing").is_err());
+        // Nesting is capped, not bounded by the stack: 128 levels parse,
+        // the 129th opener is named, and a hostile 200,000-deep document
+        // fails the same way instead of overflowing the stack.
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        validate_json(&nested(MAX_NESTING)).unwrap();
+        validate_json(&format!("{{\"a\": {}}}", nested(MAX_NESTING - 1))).unwrap();
+        let err = validate_json(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let err = validate_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! CLI-level tests for the checkpoint journal: malformed journals must
-//! exit 2 naming the problem (never silently re-sweep or merge bad
-//! data), resume must reproduce an uninterrupted run byte for byte, and
-//! the fault-injection flags must quarantine without changing verdict
-//! semantics.
+//! CLI-level tests for the checkpoint journal and the other inputs that
+//! come from outside the tool: malformed journals must exit 2 naming the
+//! problem (never silently re-sweep or merge bad data), resume must
+//! reproduce an uninterrupted run byte for byte, the fault-injection
+//! flags must quarantine without changing verdict semantics, and bad
+//! `json-check` files and unknown flags must fail with their exit codes.
 //!
 //! These drive the installed `rader` binary (via `CARGO_BIN_EXE_rader`)
 //! because the exit codes and stderr wording are the contract: scripts
@@ -279,4 +280,84 @@ fn json_check_validates_schema_version() {
     assert!(out.status.success(), "{}", stderr_of(&out));
     let _ = fs::remove_file(&stale);
     let _ = fs::remove_file(&plain);
+}
+
+/// FNV-1a 64-bit, the journal's record checksum (recomputed here so a
+/// crafted record passes the checksum and reaches the decoder).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn crafted_record_length_fails_loudly_instead_of_aborting() {
+    // A record whose spec range claims 2^40 outcomes in a 32-byte payload
+    // used to size an allocation from that range and abort the process.
+    let prefix = tmp("crafted");
+    let mut args = vec!["suite"];
+    args.extend_from_slice(CAPS);
+    args.extend_from_slice(&["--checkpoint", prefix.to_str().unwrap()]);
+    let out = rader(&args);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let journal = PathBuf::from(format!("{}.collision.ckpt", prefix.display()));
+    let mut bytes = fs::read(&journal).expect("journal written");
+    let at = bytes.len();
+    let mut payload = Vec::new();
+    for v in [0u64, 1, 1 << 40, 0] {
+        payload.extend_from_slice(&v.to_le_bytes()); // chunk, start, end, checks
+    }
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    fs::write(&journal, &bytes).unwrap();
+
+    let fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let err = rader::core::journal::load(&journal, fp).unwrap_err();
+    assert!(err.contains(&format!("record at byte {at}")), "{err}");
+
+    let mut args = vec!["suite"];
+    args.extend_from_slice(CAPS);
+    args.extend_from_slice(&["--resume", prefix.to_str().unwrap()]);
+    let out = rader(&args);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains(&format!("record at byte {at}")),
+        "stderr must name the record: {}",
+        stderr_of(&out)
+    );
+    if let Some(dir) = prefix.parent() {
+        let stem = prefix.file_name().unwrap().to_str().unwrap().to_string();
+        for e in fs::read_dir(dir).unwrap().flatten() {
+            if e.file_name().to_string_lossy().starts_with(&stem) {
+                let _ = fs::remove_file(e.path());
+            }
+        }
+    }
+}
+
+#[test]
+fn json_check_rejects_deep_nesting_with_exit_1() {
+    // 200,000 nested arrays used to overflow the recursive parser's stack.
+    let deep = tmp("deep.json");
+    fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let out = rader(&["json-check", deep.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("nesting deeper than 128 at byte 128"),
+        "{}",
+        stderr_of(&out)
+    );
+    let _ = fs::remove_file(&deep);
+}
+
+#[test]
+fn removed_sweep_scheduling_flags_exit_2_naming_the_flag() {
+    // The sweep has one scheduler and one chunk plan; the flags that once
+    // selected alternatives are unknown arguments now.
+    for args in [&["suite", "--strided"][..], &["suite", "--chunk", "8"]] {
+        let out = rader(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains(args[1]), "{}", stderr_of(&out));
+    }
 }

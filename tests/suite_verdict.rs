@@ -164,30 +164,6 @@ fn parallel_sweep_is_deterministic_across_runs() {
     assert_eq!(a.findings, serial.findings);
 }
 
-#[test]
-fn schedulers_agree_on_findings() {
-    use rader::core::SweepScheduler;
-    let queue = coverage::exhaustive_check_parallel(
-        interior_race_program,
-        &CoverageOptions {
-            scheduler: SweepScheduler::WorkQueue,
-            ..CoverageOptions::default()
-        },
-        4,
-    );
-    let strided = coverage::exhaustive_check_parallel(
-        interior_race_program,
-        &CoverageOptions {
-            scheduler: SweepScheduler::Strided,
-            ..CoverageOptions::default()
-        },
-        4,
-    );
-    assert_eq!(queue.report, strided.report);
-    assert_eq!(queue.findings, strided.findings);
-    assert_eq!(queue.spplus_checks, strided.spplus_checks);
-}
-
 /// Zero the wall-clock fields — the only nondeterministic data in a
 /// suite report — so `to_json()` output can be compared byte-for-byte.
 fn zero_timings(rep: &mut suite::SuiteReport) {
@@ -200,54 +176,28 @@ fn zero_timings(rep: &mut suite::SuiteReport) {
 }
 
 #[test]
-fn suite_json_is_byte_identical_across_threads_and_schedulers() {
+fn suite_json_is_byte_identical_across_threads() {
     // With chunked claiming, the set of claims is a pure function of
-    // the spec list and chunk policy — not of which thread won which
-    // claim. So the entire JSON report (including the new `claims`
-    // field) must be byte-identical across thread counts and both
-    // schedulers, once timings are zeroed.
-    use rader::core::{ChunkPolicy, SweepScheduler};
+    // the spec list — not of which thread won which claim. So the entire
+    // JSON report (including the `claims` field) must be byte-identical
+    // across thread counts, once timings are zeroed.
     let workloads = [interior_workload()];
-    // `claims` is the chunk count, which by design depends on the
-    // chunking policy — so byte-identity is pinned per policy, across
-    // every thread count and both schedulers.
-    for chunking in [
-        ChunkPolicy::Family,
-        ChunkPolicy::PerSpec,
-        ChunkPolicy::Fixed(3),
-    ] {
-        let mut baseline = suite::run_suite(
-            &workloads,
-            &SuiteOptions {
-                threads: 1,
-                chunking,
-                ..SuiteOptions::default()
-            },
-        )
-        .unwrap();
-        zero_timings(&mut baseline);
-        let want = baseline.to_json();
-        for threads in [2, 4] {
-            for scheduler in [SweepScheduler::WorkQueue, SweepScheduler::Strided] {
-                let mut rep = suite::run_suite(
-                    &workloads,
-                    &SuiteOptions {
-                        threads,
-                        scheduler,
-                        chunking,
-                        ..SuiteOptions::default()
-                    },
-                )
-                .unwrap();
-                zero_timings(&mut rep);
-                assert_eq!(
-                    rep.to_json(),
-                    want,
-                    "suite JSON diverged at threads={threads} \
-                     scheduler={scheduler:?} chunking={chunking:?}"
-                );
-            }
-        }
+    let run = |threads| {
+        let opts = SuiteOptions {
+            threads,
+            ..SuiteOptions::default()
+        };
+        let mut rep = suite::run_suite(&workloads, &opts).unwrap();
+        zero_timings(&mut rep);
+        rep.to_json()
+    };
+    let want = run(1);
+    for threads in [2, 4] {
+        assert_eq!(
+            run(threads),
+            want,
+            "suite JSON diverged at threads={threads}"
+        );
     }
 }
 

@@ -24,13 +24,9 @@ cargo bench -q --offline -p rader-bench --bench ablations -- --samples 1 --warmu
 echo "== suite smoke: JSON report validates, racy entry exits nonzero =="
 RADER=target/release/rader
 SUITE_JSON=target/suite-smoke.json
-SUITE_OUT=target/suite-smoke.out
-"$RADER" suite --threads 2 --json "$SUITE_JSON" >"$SUITE_OUT"
+"$RADER" suite --threads 2 --json "$SUITE_JSON" >/dev/null
 
-echo "== scaling smoke: pool steals and chunked claims are live =="
-# The suite prints a pool-smoke line from a spawn-heavy calibration run;
-# at 2 workers the work-stealing pool must record at least one steal.
-grep -Eq 'pool-smoke: .*steals=[1-9]' "$SUITE_OUT"
+echo "== chunked-claiming smoke: every sweep claims spec chunks =="
 # Chunked claiming: every workload claims spec chunks, and family
 # batching makes that strictly fewer claims than runs for update-heavy
 # sweeps (pinned exactly by the core tests; smoke-check nonzero here).
@@ -55,6 +51,14 @@ if "$RADER" suite --threads 0x >/dev/null 2>target/rader-usage-err; then
     exit 1
 fi
 grep -q -- '--threads' target/rader-usage-err
+# A cap past u32 must not wrap to 0 (which would silently shrink the sweep).
+status=0
+"$RADER" exhaustive --max-k 4294967296 >/dev/null 2>target/rader-usage-err || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "ERROR: out-of-range --max-k should exit 2, got $status" >&2
+    exit 1
+fi
+grep -q -- '--max-k' target/rader-usage-err
 # Nesting deeper than the validator's fixed cap is invalid JSON (exit 1),
 # never a stack overflow.
 head -c 200000 /dev/zero | tr '\0' '[' >target/deep-nesting.json
@@ -65,6 +69,18 @@ if [ "$status" -ne 1 ]; then
     exit 1
 fi
 grep -q 'nesting deeper than 128' target/deep-nesting.err
+# RFC 8259 forbids leading zeros, and a present schema_version must be a
+# plain integer: both are invalid (exit 1), never "valid JSON".
+printf '[01]' >target/leading-zero.json
+printf '{"schema_version": "2"}' >target/string-schema.json
+for doc in target/leading-zero.json target/string-schema.json; do
+    status=0
+    "$RADER" json-check "$doc" >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "ERROR: json-check on $doc should exit 1, got $status" >&2
+        exit 1
+    fi
+done
 
 echo "== checkpoint smoke: SIGKILL mid-sweep, resume, byte-identical report =="
 CKPT_PREFIX=target/ckpt-smoke

@@ -6,10 +6,9 @@
 //!   denominator — the "instrumentation cost" the paper isolates);
 //! * view management under steals (steal + reduce machinery without any
 //!   detection);
-//! * the parallel runtime at several worker counts.
+//! * the Section-7 sweep with trace replay vs re-execution.
 
 use rader_bench::timing::Harness;
-use rader_cilk::par::ParRuntime;
 use rader_cilk::{BlockScript, Ctx, EmptyTool, SerialEngine, StealSpec};
 use rader_core::{coverage, CoverageOptions};
 use rader_workloads::{dedup, ferret, fib};
@@ -18,7 +17,6 @@ fn main() {
     let mut h = Harness::from_args("engine");
     bench_instrumentation_layers(&mut h);
     bench_exhaustive_sweep(&mut h);
-    bench_parallel_runtime(&mut h);
     h.finish();
 }
 
@@ -126,41 +124,4 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
             );
         }
     }
-}
-
-fn bench_parallel_runtime(h: &mut Harness) {
-    let mut g = h.group("par_runtime_fib16");
-    for workers in [1usize, 2, 4] {
-        g.bench(workers.to_string(), || {
-            let rt = ParRuntime::new(workers);
-            let (_s, v) = rt.run(|cx| par_fib(cx, 16));
-            assert_eq!(v, fib::fib_reference(16));
-            v
-        });
-    }
-}
-
-fn par_fib(cx: &mut rader_cilk::par::ParCtx<'_>, n: u32) -> i64 {
-    use rader_reducers::{Monoid, OpAdd};
-    let sum = OpAdd::register(cx);
-    par_fib_rec(cx, n, sum);
-    cx.sync();
-    sum.get(cx)
-}
-
-fn par_fib_rec(
-    cx: &mut rader_cilk::par::ParCtx<'_>,
-    n: u32,
-    sum: rader_reducers::RedHandle<rader_reducers::OpAdd>,
-) {
-    if n < 2 {
-        sum.add(cx, n as i64);
-        return;
-    }
-    cx.spawn(move |cx| {
-        par_fib_rec(cx, n - 1, sum);
-        cx.sync();
-    });
-    par_fib_rec(cx, n - 2, sum);
-    cx.sync();
 }

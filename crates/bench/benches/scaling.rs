@@ -66,17 +66,17 @@ struct HeavyReduce {
 }
 
 impl ViewMonoid for HeavyReduce {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> rader_cilk::Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> rader_cilk::Loc {
         m.alloc(self.tau.max(1))
     }
-    fn reduce(&self, m: &mut ViewMem<'_>, left: rader_cilk::Loc, right: rader_cilk::Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: rader_cilk::Loc, right: rader_cilk::Loc) {
         for i in 0..self.tau {
             let r = m.read_idx(right, i);
             let l = m.read_idx(left, i);
             m.write_idx(left, i, l + r);
         }
     }
-    fn update(&self, m: &mut ViewMem<'_>, view: rader_cilk::Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: rader_cilk::Loc, op: &[Word]) {
         let v = m.read(view);
         m.write(view, v + op[0]);
     }

@@ -35,7 +35,7 @@ use rader_dsu::ViewId;
 
 use crate::events::{AccessKind, EnterKind, FrameId, ReducerId, ReducerReadKind, StrandId, Tool};
 use crate::mem::{Loc, MemArena, Word};
-use crate::monoid::{MemBackend, ViewMem, ViewMonoid};
+use crate::monoid::{ViewMem, ViewMonoid};
 use crate::replay::{ProgramTrace, ReplayError, TraceBuilder, TraceEvent};
 use crate::spec::{BlockOp, BlockScript, StealSpec};
 
@@ -626,24 +626,6 @@ fn par_for_rec<'t>(
     cx.sync();
 }
 
-/// The serial engine is itself a [`MemBackend`]: monoid view code running
-/// under it gets fully instrumented accesses, tagged with the engine's
-/// current view-aware [`AccessKind`].
-impl MemBackend for Ctx<'_> {
-    #[inline]
-    fn read(&mut self, loc: Loc) -> Word {
-        Ctx::read(self, loc)
-    }
-    #[inline]
-    fn write(&mut self, loc: Loc, v: Word) {
-        Ctx::write(self, loc, v)
-    }
-    #[inline]
-    fn alloc(&mut self, n: usize) -> Loc {
-        Ctx::alloc(self, n)
-    }
-}
-
 /// Entry point: configures a steal specification and runs programs.
 #[derive(Clone, Debug, Default)]
 pub struct SerialEngine {
@@ -760,15 +742,15 @@ mod tests {
     fn add_monoid() -> Arc<dyn ViewMonoid> {
         struct Add;
         impl ViewMonoid for Add {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 m.alloc(1)
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let r = m.read(right);
                 let l = m.read(left);
                 m.write(left, l + r);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let v = m.read(view);
                 m.write(view, v + op[0]);
             }
@@ -833,11 +815,11 @@ mod tests {
         // concatenation) exposes fold-order bugs that a sum would hide.
         struct Concat;
         impl ViewMonoid for Concat {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 let l = m.alloc(2); // [len, digits-as-number]
                 l
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let rl = m.read(right);
                 let rv = m.read(right.at(1));
                 let ll = m.read(left);
@@ -845,7 +827,7 @@ mod tests {
                 m.write(left, ll + rl);
                 m.write(left.at(1), lv * 10_i64.pow(rl as u32) + rv);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let l = m.read(view);
                 let v = m.read(view.at(1));
                 m.write(view, l + 1);

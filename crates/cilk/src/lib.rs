@@ -20,20 +20,14 @@
 //!   Monoids plug in through the untyped [`ViewMonoid`] trait; views live in
 //!   the same instrumented arena as user data, so races *inside* view
 //!   management are observable.
-//! * **A work-stealing parallel runtime** ([`par`]) that runs the same
-//!   programs on real threads with deterministic (serial-order) reducer
-//!   folding — used to demonstrate that racy programs really are
-//!   nondeterministic and race-free ones are not.
 //! * **A synthetic program generator** ([`synth`]) producing random
 //!   fork-join programs for property tests and the Section-7 coverage
 //!   experiments.
 
-pub mod deque;
 pub mod engine;
 pub mod events;
 pub mod mem;
 pub mod monoid;
-pub mod par;
 pub mod replay;
 pub mod spec;
 pub mod synth;
@@ -44,7 +38,7 @@ pub use events::{
     Tool,
 };
 pub use mem::{Loc, MemArena, Word};
-pub use monoid::{MemBackend, ViewMem, ViewMonoid};
+pub use monoid::{ViewMem, ViewMonoid};
 pub use replay::{ProgramTrace, ReplayError};
 pub use spec::{BlockOp, BlockScript, StealSpec};
 

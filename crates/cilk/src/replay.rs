@@ -595,15 +595,15 @@ mod tests {
     fn add_monoid() -> Arc<dyn ViewMonoid> {
         struct Add;
         impl ViewMonoid for Add {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 m.alloc(1)
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let r = m.read(right);
                 let l = m.read(left);
                 m.write(left, l + r);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let v = m.read(view);
                 m.write(view, v + op[0]);
             }

@@ -78,15 +78,15 @@ pub struct SynthProgram {
 pub struct SynthAdd;
 
 impl ViewMonoid for SynthAdd {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(1)
     }
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let r = m.read(right);
         let l = m.read(left);
         m.write(left, l + r);
     }
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let v = m.read(view);
         m.write(view, v + op[0]);
     }
@@ -130,10 +130,10 @@ impl HashConcat {
 }
 
 impl ViewMonoid for HashConcat {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(2) // [len, hash]
     }
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let rlen = m.read(right) as u64;
         let rh = m.read(right.at(1)) as u64;
         let llen = m.read(left) as u64;
@@ -144,7 +144,7 @@ impl ViewMonoid for HashConcat {
             lh.wrapping_mul(Self::pow_b(rlen)).wrapping_add(rh) as Word,
         );
     }
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let len = m.read(view);
         let h = m.read(view.at(1)) as u64;
         m.write(view, len + 1);

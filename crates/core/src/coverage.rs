@@ -939,12 +939,12 @@ impl ReduceLogger {
 }
 
 impl ViewMonoid for ReduceLogger {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         let l = m.alloc(2);
         m.write(l, -1); // first = none
         l
     }
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let lf = m.read(left);
         let ln = m.read(left.at(1));
         let rf = m.read(right);
@@ -957,7 +957,7 @@ impl ViewMonoid for ReduceLogger {
         }
         m.write(left.at(1), ln + rn);
     }
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let n = m.read(view.at(1));
         if n == 0 {
             m.write(view, op[0]);
@@ -1258,12 +1258,12 @@ mod tests {
         // it; AtSpawnCount specs on this single-update program do not.
         struct Grenade;
         impl ViewMonoid for Grenade {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 let l = m.alloc(1);
                 m.write(l, 0);
                 l
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let ln = m.read(left);
                 let rn = m.read(right);
                 if ln > 0 && rn > 0 {
@@ -1271,7 +1271,7 @@ mod tests {
                 }
                 m.write(left, ln + rn);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, _op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, _op: &[Word]) {
                 let v = m.read(view);
                 m.write(view, v + 1);
             }
@@ -1393,16 +1393,16 @@ mod tests {
             cell: Loc,
         }
         impl ViewMonoid for Touchy {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 m.alloc(1)
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let r = m.read(right);
                 let l = m.read(left);
                 m.write(left, l + r);
                 m.write(self.cell, 1);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let v = m.read(view);
                 m.write(view, v + op[0]);
             }
@@ -1434,16 +1434,16 @@ mod tests {
             cell: Loc,
         }
         impl ViewMonoid for Touchy {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 m.alloc(1)
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let r = m.read(right);
                 let l = m.read(left);
                 m.write(left, l + r);
                 m.write(self.cell, 1);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let v = m.read(view);
                 m.write(view, v + op[0]);
             }
@@ -1501,16 +1501,16 @@ mod tests {
             cell: Loc,
         }
         impl ViewMonoid for Touchy {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 m.alloc(1)
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let r = m.read(right);
                 let l = m.read(left);
                 m.write(left, l + r);
                 m.write(self.cell, 1);
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let v = m.read(view);
                 m.write(view, v + op[0]);
             }

@@ -614,12 +614,12 @@ mod tests {
             cell: rader_cilk::Loc,
         }
         impl rader_cilk::ViewMonoid for TouchingMonoid {
-            fn create_identity(&self, m: &mut rader_cilk::ViewMem<'_>) -> rader_cilk::Loc {
+            fn create_identity(&self, m: &mut rader_cilk::ViewMem<'_, '_>) -> rader_cilk::Loc {
                 m.alloc(1)
             }
             fn reduce(
                 &self,
-                m: &mut rader_cilk::ViewMem<'_>,
+                m: &mut rader_cilk::ViewMem<'_, '_>,
                 left: rader_cilk::Loc,
                 right: rader_cilk::Loc,
             ) {
@@ -630,7 +630,7 @@ mod tests {
             }
             fn update(
                 &self,
-                m: &mut rader_cilk::ViewMem<'_>,
+                m: &mut rader_cilk::ViewMem<'_, '_>,
                 view: rader_cilk::Loc,
                 op: &[rader_cilk::Word],
             ) {

@@ -14,9 +14,9 @@
 //! Node layout `[value, left, right]`; spine layout `[count, s0..s{R-1}]`
 //! with encoded pointers.
 
-use rader_cilk::{Loc, ViewMem, ViewMonoid, Word};
+use rader_cilk::{Ctx, Loc, ViewMem, ViewMonoid, Word};
 
-use crate::{dec_ptr, enc_ptr, RedCtx, RedHandle};
+use crate::{dec_ptr, enc_ptr, RedHandle};
 
 const VALUE: usize = 0;
 const LEFT: usize = 1;
@@ -30,14 +30,14 @@ pub const SPINE_LEN: usize = 28;
 /// Union two pennants of equal size 2^k into one of size 2^(k+1).
 ///
 /// `PENNANT-UNION(x, y): y.right = x.left; x.left = y; return x`
-fn pennant_union(m: &mut ViewMem<'_>, x: Loc, y: Loc) -> Loc {
+fn pennant_union(m: &mut ViewMem<'_, '_>, x: Loc, y: Loc) -> Loc {
     let xl = m.read(x.at(LEFT));
     m.write(y.at(RIGHT), xl);
     m.write(x.at(LEFT), enc_ptr(y));
     x
 }
 
-fn insert_pennant(m: &mut ViewMem<'_>, view: Loc, mut p: Loc, mut k: usize) {
+fn insert_pennant(m: &mut ViewMem<'_, '_>, view: Loc, mut p: Loc, mut k: usize) {
     // Binary increment with carries.
     loop {
         assert!(k < SPINE_LEN, "bag spine overflow");
@@ -61,11 +61,11 @@ fn insert_pennant(m: &mut ViewMem<'_>, view: Loc, mut p: Loc, mut k: usize) {
 pub struct BagMonoid;
 
 impl ViewMonoid for BagMonoid {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(SPINE + SPINE_LEN)
     }
 
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         // BAG-UNION: full adder over the spines, carrying pennant unions.
         let mut carry: Option<Loc> = None;
         for k in 0..SPINE_LEN {
@@ -81,7 +81,7 @@ impl ViewMonoid for BagMonoid {
         m.write(left.at(COUNT), lc + rc);
     }
 
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let node = m.alloc(3);
         m.write(node.at(VALUE), op[0]);
         insert_pennant(m, view, node, 0);
@@ -97,7 +97,7 @@ impl ViewMonoid for BagMonoid {
 /// One full-adder step over pennants of size 2^k: returns
 /// `(slot value, carry to 2^(k+1))`.
 fn full_adder(
-    m: &mut ViewMem<'_>,
+    m: &mut ViewMem<'_, '_>,
     a: Option<Loc>,
     b: Option<Loc>,
     c: Option<Loc>,
@@ -114,24 +114,24 @@ fn full_adder(
 
 impl RedHandle<BagMonoid> {
     /// Insert `x` into the current view.
-    pub fn insert(&self, cx: &mut impl RedCtx, x: Word) {
-        cx.red_update(self.raw(), &[x]);
+    pub fn insert(&self, cx: &mut Ctx<'_>, x: Word) {
+        cx.reducer_update(self.raw(), &[x]);
     }
 
     /// Number of elements in the current view (a reducer-read).
-    pub fn count(&self, cx: &mut impl RedCtx) -> Word {
-        let v = cx.red_get_view(self.raw());
-        cx.mem_read(v.at(COUNT))
+    pub fn count(&self, cx: &mut Ctx<'_>) -> Word {
+        let v = cx.reducer_get_view(self.raw());
+        cx.read(v.at(COUNT))
     }
 
     /// `get_value` and materialize all elements (unordered, but this
     /// implementation's traversal order is deterministic for a
     /// deterministic insertion history).
-    pub fn to_vec(&self, cx: &mut impl RedCtx) -> Vec<Word> {
-        let view = cx.red_get_view(self.raw());
+    pub fn to_vec(&self, cx: &mut Ctx<'_>) -> Vec<Word> {
+        let view = cx.reducer_get_view(self.raw());
         let mut out = Vec::new();
         for k in 0..SPINE_LEN {
-            if let Some(p) = dec_ptr(cx.mem_read(view.at(SPINE + k))) {
+            if let Some(p) = dec_ptr(cx.read(view.at(SPINE + k))) {
                 walk(cx, p, &mut out);
             }
         }
@@ -140,18 +140,18 @@ impl RedHandle<BagMonoid> {
 
     /// `set_value`: reset to an empty bag (a reducer-read). Used by PBFS
     /// between layers.
-    pub fn clear(&self, cx: &mut impl RedCtx) {
-        let fresh = cx.mem_alloc(SPINE + SPINE_LEN);
-        cx.red_set_view(self.raw(), fresh);
+    pub fn clear(&self, cx: &mut Ctx<'_>) {
+        let fresh = cx.alloc(SPINE + SPINE_LEN);
+        cx.reducer_set_view(self.raw(), fresh);
     }
 }
 
-fn walk(cx: &mut impl RedCtx, node: Loc, out: &mut Vec<Word>) {
-    out.push(cx.mem_read(node.at(VALUE)));
-    if let Some(l) = dec_ptr(cx.mem_read(node.at(LEFT))) {
+fn walk(cx: &mut Ctx<'_>, node: Loc, out: &mut Vec<Word>) {
+    out.push(cx.read(node.at(VALUE)));
+    if let Some(l) = dec_ptr(cx.read(node.at(LEFT))) {
         walk(cx, l, out);
     }
-    if let Some(r) = dec_ptr(cx.mem_read(node.at(RIGHT))) {
+    if let Some(r) = dec_ptr(cx.read(node.at(RIGHT))) {
         walk(cx, r, out);
     }
 }
@@ -213,10 +213,10 @@ mod tests {
                 // 13 = 0b1101
                 bag.insert(cx, i);
             }
-            let view = cx.red_get_view(bag.raw());
+            let view = cx.reducer_get_view(bag.raw());
             let mut sizes = Vec::new();
             for k in 0..SPINE_LEN {
-                if cx.mem_read(view.at(SPINE + k)) != 0 {
+                if cx.read(view.at(SPINE + k)) != 0 {
                     sizes.push(1usize << k);
                 }
             }

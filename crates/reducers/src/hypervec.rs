@@ -5,9 +5,9 @@
 //! `[head, tail, len]`, chunk `[next, used, data[CHUNK]]`. Appends fill
 //! the tail chunk; `Reduce` splices chunk chains without copying.
 
-use rader_cilk::{Loc, ViewMem, ViewMonoid, Word};
+use rader_cilk::{Ctx, Loc, ViewMem, ViewMonoid, Word};
 
-use crate::{dec_ptr, enc_ptr, RedCtx, RedHandle};
+use crate::{dec_ptr, enc_ptr, RedHandle};
 
 const HEAD: usize = 0;
 const TAIL: usize = 1;
@@ -25,11 +25,11 @@ pub const CHUNK: usize = 8;
 pub struct HypervectorMonoid;
 
 impl ViewMonoid for HypervectorMonoid {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(HDR_LEN)
     }
 
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let rhead = m.read(right.at(HEAD));
         if rhead == 0 {
             return;
@@ -46,7 +46,7 @@ impl ViewMonoid for HypervectorMonoid {
         m.write(left.at(LEN), ll + rl);
     }
 
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let tail = m.read(view.at(TAIL));
         let chunk = match dec_ptr(tail) {
             Some(c) if m.read(c.at(USED)) < CHUNK as Word => c,
@@ -74,32 +74,32 @@ impl ViewMonoid for HypervectorMonoid {
 
 impl RedHandle<HypervectorMonoid> {
     /// Append `x` to the current view.
-    pub fn push(&self, cx: &mut impl RedCtx, x: Word) {
-        cx.red_update(self.raw(), &[x]);
+    pub fn push(&self, cx: &mut Ctx<'_>, x: Word) {
+        cx.reducer_update(self.raw(), &[x]);
     }
 
     /// Number of elements (a reducer-read).
-    pub fn len(&self, cx: &mut impl RedCtx) -> Word {
-        let v = cx.red_get_view(self.raw());
-        cx.mem_read(v.at(LEN))
+    pub fn len(&self, cx: &mut Ctx<'_>) -> Word {
+        let v = cx.reducer_get_view(self.raw());
+        cx.read(v.at(LEN))
     }
 
     /// True if the current view holds no elements (a reducer-read).
-    pub fn is_empty(&self, cx: &mut impl RedCtx) -> bool {
+    pub fn is_empty(&self, cx: &mut Ctx<'_>) -> bool {
         self.len(cx) == 0
     }
 
     /// `get_value` and materialize the elements in append (serial) order.
-    pub fn to_vec(&self, cx: &mut impl RedCtx) -> Vec<Word> {
-        let v = cx.red_get_view(self.raw());
+    pub fn to_vec(&self, cx: &mut Ctx<'_>) -> Vec<Word> {
+        let v = cx.reducer_get_view(self.raw());
         let mut out = Vec::new();
-        let mut cur = dec_ptr(cx.mem_read(v.at(HEAD)));
+        let mut cur = dec_ptr(cx.read(v.at(HEAD)));
         while let Some(chunk) = cur {
-            let used = cx.mem_read(chunk.at(USED)) as usize;
+            let used = cx.read(chunk.at(USED)) as usize;
             for i in 0..used {
-                out.push(cx.mem_read(chunk.at(DATA + i)));
+                out.push(cx.read(chunk.at(DATA + i)));
             }
-            cur = dec_ptr(cx.mem_read(chunk.at(NEXT)));
+            cur = dec_ptr(cx.read(chunk.at(NEXT)));
         }
         out
     }

@@ -25,8 +25,7 @@
 //!
 //! [`RedHandle<M>`] is a `Copy` typed wrapper around a raw reducer ID;
 //! monoid-specific methods (e.g. `RedHandle::<OpAdd>::add`) are
-//! implemented per monoid and work on both the serial [`Ctx`] and the
-//! parallel [`ParCtx`] through the [`RedCtx`] abstraction.
+//! implemented per monoid and take the engine's [`Ctx`] directly.
 //!
 //! ```
 //! use rader_cilk::SerialEngine;
@@ -47,7 +46,6 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use rader_cilk::par::ParCtx;
 use rader_cilk::{Ctx, Loc, ReducerId, ViewMonoid, Word};
 
 pub mod bag;
@@ -79,73 +77,6 @@ pub fn dec_ptr(w: Word) -> Option<Loc> {
         None
     } else {
         Some(Loc((w - 1) as u32))
-    }
-}
-
-/// Execution contexts a typed reducer handle can operate on: the serial
-/// engine's [`Ctx`] (instrumented) and the parallel runtime's [`ParCtx`].
-pub trait RedCtx {
-    /// Register a reducer with the given monoid.
-    fn red_new(&mut self, m: Arc<dyn ViewMonoid>) -> ReducerId;
-    /// Apply one update operation to the current view.
-    fn red_update(&mut self, h: ReducerId, op: &[Word]);
-    /// `get_value`: location of the view visible to the current strand.
-    fn red_get_view(&mut self, h: ReducerId) -> Loc;
-    /// `set_value`: install `loc` as the current view.
-    fn red_set_view(&mut self, h: ReducerId, loc: Loc);
-    /// Read a shared cell (instrumented on the serial engine).
-    fn mem_read(&mut self, loc: Loc) -> Word;
-    /// Write a shared cell (instrumented on the serial engine).
-    fn mem_write(&mut self, loc: Loc, v: Word);
-    /// Allocate `n` zero-initialized shared words.
-    fn mem_alloc(&mut self, n: usize) -> Loc;
-}
-
-impl RedCtx for Ctx<'_> {
-    fn red_new(&mut self, m: Arc<dyn ViewMonoid>) -> ReducerId {
-        self.new_reducer(m)
-    }
-    fn red_update(&mut self, h: ReducerId, op: &[Word]) {
-        self.reducer_update(h, op)
-    }
-    fn red_get_view(&mut self, h: ReducerId) -> Loc {
-        self.reducer_get_view(h)
-    }
-    fn red_set_view(&mut self, h: ReducerId, loc: Loc) {
-        self.reducer_set_view(h, loc)
-    }
-    fn mem_read(&mut self, loc: Loc) -> Word {
-        self.read(loc)
-    }
-    fn mem_write(&mut self, loc: Loc, v: Word) {
-        self.write(loc, v)
-    }
-    fn mem_alloc(&mut self, n: usize) -> Loc {
-        self.alloc(n)
-    }
-}
-
-impl RedCtx for ParCtx<'_> {
-    fn red_new(&mut self, m: Arc<dyn ViewMonoid>) -> ReducerId {
-        self.new_reducer(m)
-    }
-    fn red_update(&mut self, h: ReducerId, op: &[Word]) {
-        self.reducer_update(h, op)
-    }
-    fn red_get_view(&mut self, h: ReducerId) -> Loc {
-        self.reducer_get_view(h)
-    }
-    fn red_set_view(&mut self, h: ReducerId, loc: Loc) {
-        self.reducer_set_view(h, loc)
-    }
-    fn mem_read(&mut self, loc: Loc) -> Word {
-        self.read(loc)
-    }
-    fn mem_write(&mut self, loc: Loc, v: Word) {
-        self.write(loc, v)
-    }
-    fn mem_alloc(&mut self, n: usize) -> Loc {
-        self.alloc(n)
     }
 }
 
@@ -181,13 +112,13 @@ impl<M> RedHandle<M> {
 
     /// Raw `get_value`: location of the view visible to the current strand
     /// (a reducer-read).
-    pub fn view(&self, cx: &mut impl RedCtx) -> Loc {
-        cx.red_get_view(self.id)
+    pub fn view(&self, cx: &mut Ctx<'_>) -> Loc {
+        cx.reducer_get_view(self.id)
     }
 
     /// Raw `set_value`: install `loc` as the current view (a reducer-read).
-    pub fn set_view(&self, cx: &mut impl RedCtx, loc: Loc) {
-        cx.red_set_view(self.id, loc)
+    pub fn set_view(&self, cx: &mut Ctx<'_>, loc: Loc) {
+        cx.reducer_set_view(self.id, loc)
     }
 }
 
@@ -195,7 +126,7 @@ impl<M> RedHandle<M> {
 /// `register_with` constructors producing typed handles.
 pub trait Monoid: ViewMonoid + Sized + 'static {
     /// Register a default-constructed instance of this monoid.
-    fn register(cx: &mut impl RedCtx) -> RedHandle<Self>
+    fn register(cx: &mut Ctx<'_>) -> RedHandle<Self>
     where
         Self: Default,
     {
@@ -203,8 +134,8 @@ pub trait Monoid: ViewMonoid + Sized + 'static {
     }
 
     /// Register this monoid instance (for monoids carrying parameters).
-    fn register_with(self, cx: &mut impl RedCtx) -> RedHandle<Self> {
-        RedHandle::from_raw(cx.red_new(Arc::new(self)))
+    fn register_with(self, cx: &mut Ctx<'_>) -> RedHandle<Self> {
+        RedHandle::from_raw(cx.new_reducer(Arc::new(self)))
     }
 }
 

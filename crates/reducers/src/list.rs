@@ -13,9 +13,9 @@
 //! the buggy [`MyList::shallow_copy`] and the correct
 //! [`MyList::deep_copy`].
 
-use rader_cilk::{Loc, ViewMem, ViewMonoid, Word};
+use rader_cilk::{Ctx, Loc, ViewMem, ViewMonoid, Word};
 
-use crate::{dec_ptr, enc_ptr, RedCtx, RedHandle};
+use crate::{dec_ptr, enc_ptr, RedHandle};
 
 /// Header field offsets.
 const HEAD: usize = 0;
@@ -31,11 +31,11 @@ const NEXT: usize = 1;
 pub struct ListMonoid;
 
 impl ViewMonoid for ListMonoid {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(3) // zeroed header = empty list
     }
 
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let rhead = m.read(right.at(HEAD));
         if rhead == 0 {
             return; // right list empty: nothing to splice
@@ -58,7 +58,7 @@ impl ViewMonoid for ListMonoid {
         m.write(left.at(LEN), llen + rlen);
     }
 
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let node = m.alloc(2);
         m.write(node.at(VALUE), op[0]);
         let tail = m.read(view.at(TAIL));
@@ -78,27 +78,27 @@ impl ViewMonoid for ListMonoid {
 
 impl RedHandle<ListMonoid> {
     /// Append `x` to the current view (an `Update`).
-    pub fn push_back(&self, cx: &mut impl RedCtx, x: Word) {
-        cx.red_update(self.raw(), &[x]);
+    pub fn push_back(&self, cx: &mut Ctx<'_>, x: Word) {
+        cx.reducer_update(self.raw(), &[x]);
     }
 
     /// `get_value` and materialize the list's elements (the traversal's
     /// reads are ordinary user accesses — racy if performed too early).
-    pub fn to_vec(&self, cx: &mut impl RedCtx) -> Vec<Word> {
-        let header = cx.red_get_view(self.raw());
+    pub fn to_vec(&self, cx: &mut Ctx<'_>) -> Vec<Word> {
+        let header = cx.reducer_get_view(self.raw());
         MyList { header }.scan(cx)
     }
 
     /// `set_value`: install a user-built [`MyList`] as the current view
     /// (the paper's `list_reducer.set_value(list)`).
-    pub fn set_list(&self, cx: &mut impl RedCtx, list: &MyList) {
-        cx.red_set_view(self.raw(), list.header);
+    pub fn set_list(&self, cx: &mut Ctx<'_>, list: &MyList) {
+        cx.reducer_set_view(self.raw(), list.header);
     }
 
     /// `get_value` as a [`MyList`] for further user-level manipulation.
-    pub fn get_list(&self, cx: &mut impl RedCtx) -> MyList {
+    pub fn get_list(&self, cx: &mut Ctx<'_>) -> MyList {
         MyList {
-            header: cx.red_get_view(self.raw()),
+            header: cx.reducer_get_view(self.raw()),
         }
     }
 }
@@ -117,71 +117,71 @@ pub struct MyList {
 
 impl MyList {
     /// Allocate an empty list.
-    pub fn new(cx: &mut impl RedCtx) -> MyList {
+    pub fn new(cx: &mut Ctx<'_>) -> MyList {
         MyList {
-            header: cx.mem_alloc(3),
+            header: cx.alloc(3),
         }
     }
 
     /// Append `x` (user-level operation).
-    pub fn push_back(&self, cx: &mut impl RedCtx, x: Word) {
-        let node = cx.mem_alloc(2);
-        cx.mem_write(node.at(VALUE), x);
-        let tail = cx.mem_read(self.header.at(TAIL));
+    pub fn push_back(&self, cx: &mut Ctx<'_>, x: Word) {
+        let node = cx.alloc(2);
+        cx.write(node.at(VALUE), x);
+        let tail = cx.read(self.header.at(TAIL));
         match dec_ptr(tail) {
-            None => cx.mem_write(self.header.at(HEAD), enc_ptr(node)),
-            Some(t) => cx.mem_write(t.at(NEXT), enc_ptr(node)),
+            None => cx.write(self.header.at(HEAD), enc_ptr(node)),
+            Some(t) => cx.write(t.at(NEXT), enc_ptr(node)),
         }
-        cx.mem_write(self.header.at(TAIL), enc_ptr(node));
-        let len = cx.mem_read(self.header.at(LEN));
-        cx.mem_write(self.header.at(LEN), len + 1);
+        cx.write(self.header.at(TAIL), enc_ptr(node));
+        let len = cx.read(self.header.at(LEN));
+        cx.write(self.header.at(LEN), len + 1);
     }
 
     /// Number of elements (reads the header).
-    pub fn len(&self, cx: &mut impl RedCtx) -> Word {
-        cx.mem_read(self.header.at(LEN))
+    pub fn len(&self, cx: &mut Ctx<'_>) -> Word {
+        cx.read(self.header.at(LEN))
     }
 
     /// True if empty.
-    pub fn is_empty(&self, cx: &mut impl RedCtx) -> bool {
-        cx.mem_read(self.header.at(HEAD)) == 0
+    pub fn is_empty(&self, cx: &mut Ctx<'_>) -> bool {
+        cx.read(self.header.at(HEAD)) == 0
     }
 
     /// The *shallow* copy constructor of Figure 1: a new header with its
     /// own head/tail pointers, but sharing the underlying chain of nodes —
     /// the bug that lets a reducer's `Reduce` race with a concurrent scan
     /// of the "copy".
-    pub fn shallow_copy(&self, cx: &mut impl RedCtx) -> MyList {
-        let copy = cx.mem_alloc(3);
-        let h = cx.mem_read(self.header.at(HEAD));
-        let t = cx.mem_read(self.header.at(TAIL));
-        let l = cx.mem_read(self.header.at(LEN));
-        cx.mem_write(copy.at(HEAD), h);
-        cx.mem_write(copy.at(TAIL), t);
-        cx.mem_write(copy.at(LEN), l);
+    pub fn shallow_copy(&self, cx: &mut Ctx<'_>) -> MyList {
+        let copy = cx.alloc(3);
+        let h = cx.read(self.header.at(HEAD));
+        let t = cx.read(self.header.at(TAIL));
+        let l = cx.read(self.header.at(LEN));
+        cx.write(copy.at(HEAD), h);
+        cx.write(copy.at(TAIL), t);
+        cx.write(copy.at(LEN), l);
         MyList { header: copy }
     }
 
     /// A correct deep copy: fresh nodes, no sharing.
-    pub fn deep_copy(&self, cx: &mut impl RedCtx) -> MyList {
+    pub fn deep_copy(&self, cx: &mut Ctx<'_>) -> MyList {
         let copy = MyList::new(cx);
-        let mut cur = dec_ptr(cx.mem_read(self.header.at(HEAD)));
+        let mut cur = dec_ptr(cx.read(self.header.at(HEAD)));
         while let Some(node) = cur {
-            let v = cx.mem_read(node.at(VALUE));
+            let v = cx.read(node.at(VALUE));
             copy.push_back(cx, v);
-            cur = dec_ptr(cx.mem_read(node.at(NEXT)));
+            cur = dec_ptr(cx.read(node.at(NEXT)));
         }
         copy
     }
 
     /// The `scan_list` of Figure 1: traverse until a null `next` pointer,
     /// reading every node.
-    pub fn scan(&self, cx: &mut impl RedCtx) -> Vec<Word> {
+    pub fn scan(&self, cx: &mut Ctx<'_>) -> Vec<Word> {
         let mut out = Vec::new();
-        let mut cur = dec_ptr(cx.mem_read(self.header.at(HEAD)));
+        let mut cur = dec_ptr(cx.read(self.header.at(HEAD)));
         while let Some(node) = cur {
-            out.push(cx.mem_read(node.at(VALUE)));
-            cur = dec_ptr(cx.mem_read(node.at(NEXT)));
+            out.push(cx.read(node.at(VALUE)));
+            cur = dec_ptr(cx.read(node.at(NEXT)));
         }
         out
     }

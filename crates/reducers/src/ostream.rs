@@ -6,9 +6,9 @@
 //! chain of fixed-size records: header `[head, tail, records, words]`,
 //! record node `[next, len, w0..w3]`. `Reduce` is O(1) chain splicing.
 
-use rader_cilk::{Loc, ViewMem, ViewMonoid, Word};
+use rader_cilk::{Ctx, Loc, ViewMem, ViewMonoid, Word};
 
-use crate::{dec_ptr, enc_ptr, RedCtx, RedHandle};
+use crate::{dec_ptr, enc_ptr, RedHandle};
 
 const HEAD: usize = 0;
 const TAIL: usize = 1;
@@ -27,11 +27,11 @@ pub const MAX_RECORD: usize = 4;
 pub struct OstreamMonoid;
 
 impl ViewMonoid for OstreamMonoid {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(HDR_LEN)
     }
 
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let rhead = m.read(right.at(HEAD));
         if rhead == 0 {
             return;
@@ -51,7 +51,7 @@ impl ViewMonoid for OstreamMonoid {
         m.write(left.at(WORDS), lw + rw);
     }
 
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let len = op.len().min(MAX_RECORD);
         let node = m.alloc(DATA + len);
         m.write(node.at(LEN), len as Word);
@@ -77,36 +77,36 @@ impl ViewMonoid for OstreamMonoid {
 
 impl RedHandle<OstreamMonoid> {
     /// Emit one record (up to [`MAX_RECORD`] words).
-    pub fn emit(&self, cx: &mut impl RedCtx, record: &[Word]) {
+    pub fn emit(&self, cx: &mut Ctx<'_>, record: &[Word]) {
         assert!(record.len() <= MAX_RECORD, "record too long");
-        cx.red_update(self.raw(), record);
+        cx.reducer_update(self.raw(), record);
     }
 
     /// Number of records in the current view (a reducer-read).
-    pub fn records(&self, cx: &mut impl RedCtx) -> Word {
-        let v = cx.red_get_view(self.raw());
-        cx.mem_read(v.at(RECORDS))
+    pub fn records(&self, cx: &mut Ctx<'_>) -> Word {
+        let v = cx.reducer_get_view(self.raw());
+        cx.read(v.at(RECORDS))
     }
 
     /// `get_value` and materialize the stream as a vector of records.
-    pub fn collect(&self, cx: &mut impl RedCtx) -> Vec<Vec<Word>> {
-        let v = cx.red_get_view(self.raw());
+    pub fn collect(&self, cx: &mut Ctx<'_>) -> Vec<Vec<Word>> {
+        let v = cx.reducer_get_view(self.raw());
         let mut out = Vec::new();
-        let mut cur = dec_ptr(cx.mem_read(v.at(HEAD)));
+        let mut cur = dec_ptr(cx.read(v.at(HEAD)));
         while let Some(node) = cur {
-            let len = cx.mem_read(node.at(LEN)) as usize;
+            let len = cx.read(node.at(LEN)) as usize;
             let mut rec = Vec::with_capacity(len);
             for i in 0..len {
-                rec.push(cx.mem_read(node.at(DATA + i)));
+                rec.push(cx.read(node.at(DATA + i)));
             }
             out.push(rec);
-            cur = dec_ptr(cx.mem_read(node.at(NEXT)));
+            cur = dec_ptr(cx.read(node.at(NEXT)));
         }
         out
     }
 
     /// `get_value` and flatten all payload words in stream order.
-    pub fn collect_flat(&self, cx: &mut impl RedCtx) -> Vec<Word> {
+    pub fn collect_flat(&self, cx: &mut Ctx<'_>) -> Vec<Word> {
         self.collect(cx).into_iter().flatten().collect()
     }
 }

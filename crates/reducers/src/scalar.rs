@@ -4,9 +4,9 @@
 //! single arena word. All are commutative, but the engine folds them in
 //! serial order anyway (commutativity is not assumed anywhere).
 
-use rader_cilk::{Loc, ViewMem, ViewMonoid, Word};
+use rader_cilk::{Ctx, Loc, ViewMem, ViewMonoid, Word};
 
-use crate::{RedCtx, RedHandle};
+use crate::RedHandle;
 
 macro_rules! scalar_monoid {
     ($(#[$doc:meta])* $name:ident, $mname:literal, $identity:expr, $combine:expr) => {
@@ -15,7 +15,7 @@ macro_rules! scalar_monoid {
         pub struct $name;
 
         impl ViewMonoid for $name {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
                 let l = m.alloc(1);
                 let id: Word = $identity;
                 if id != 0 {
@@ -23,13 +23,13 @@ macro_rules! scalar_monoid {
                 }
                 l
             }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
                 let r = m.read(right);
                 let l = m.read(left);
                 let f: fn(Word, Word) -> Word = $combine;
                 m.write(left, f(l, r));
             }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
                 let v = m.read(view);
                 let f: fn(Word, Word) -> Word = $combine;
                 m.write(view, f(v, op[0]));
@@ -41,21 +41,21 @@ macro_rules! scalar_monoid {
 
         impl RedHandle<$name> {
             /// Fold `x` into the current view.
-            pub fn update(&self, cx: &mut impl RedCtx, x: Word) {
-                cx.red_update(self.raw(), &[x]);
+            pub fn update(&self, cx: &mut Ctx<'_>, x: Word) {
+                cx.reducer_update(self.raw(), &[x]);
             }
 
             /// `get_value` (a reducer-read): the view's current value.
-            pub fn get(&self, cx: &mut impl RedCtx) -> Word {
-                let v = cx.red_get_view(self.raw());
-                cx.mem_read(v)
+            pub fn get(&self, cx: &mut Ctx<'_>) -> Word {
+                let v = cx.reducer_get_view(self.raw());
+                cx.read(v)
             }
 
             /// `set_value` (a reducer-read): reset the current view to `x`.
-            pub fn set(&self, cx: &mut impl RedCtx, x: Word) {
-                let l = cx.mem_alloc(1);
-                cx.mem_write(l, x);
-                cx.red_set_view(self.raw(), l);
+            pub fn set(&self, cx: &mut Ctx<'_>, x: Word) {
+                let l = cx.alloc(1);
+                cx.write(l, x);
+                cx.reducer_set_view(self.raw(), l);
             }
         }
     };
@@ -113,7 +113,7 @@ scalar_monoid!(
 
 impl RedHandle<OpAdd> {
     /// Convenience alias for `update`.
-    pub fn add(&self, cx: &mut impl RedCtx, x: Word) {
+    pub fn add(&self, cx: &mut Ctx<'_>, x: Word) {
         self.update(cx, x);
     }
 }

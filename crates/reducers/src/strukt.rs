@@ -8,9 +8,9 @@
 //!
 //! View layout: `[valid, best_value, witness]`.
 
-use rader_cilk::{Loc, ViewMem, ViewMonoid, Word};
+use rader_cilk::{Ctx, Loc, ViewMem, ViewMonoid, Word};
 
-use crate::{RedCtx, RedHandle};
+use crate::RedHandle;
 
 const VALID: usize = 0;
 const BEST: usize = 1;
@@ -22,11 +22,11 @@ const WITNESS: usize = 2;
 pub struct ArgMax;
 
 impl ViewMonoid for ArgMax {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(3) // valid = 0
     }
 
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         if m.read(right.at(VALID)) == 0 {
             return;
         }
@@ -40,7 +40,7 @@ impl ViewMonoid for ArgMax {
         }
     }
 
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let (value, witness) = (op[0], op[1]);
         let valid = m.read(view.at(VALID));
         if valid == 0 || value > m.read(view.at(BEST)) {
@@ -57,22 +57,22 @@ impl ViewMonoid for ArgMax {
 
 impl RedHandle<ArgMax> {
     /// Offer a candidate `(value, witness)`.
-    pub fn offer(&self, cx: &mut impl RedCtx, value: Word, witness: Word) {
-        cx.red_update(self.raw(), &[value, witness]);
+    pub fn offer(&self, cx: &mut Ctx<'_>, value: Word, witness: Word) {
+        cx.reducer_update(self.raw(), &[value, witness]);
     }
 
     /// The best `(value, witness)` so far, if any (a reducer-read).
-    pub fn best(&self, cx: &mut impl RedCtx) -> Option<(Word, Word)> {
-        let v = cx.red_get_view(self.raw());
-        if cx.mem_read(v.at(VALID)) == 0 {
+    pub fn best(&self, cx: &mut Ctx<'_>) -> Option<(Word, Word)> {
+        let v = cx.reducer_get_view(self.raw());
+        if cx.read(v.at(VALID)) == 0 {
             None
         } else {
-            Some((cx.mem_read(v.at(BEST)), cx.mem_read(v.at(WITNESS))))
+            Some((cx.read(v.at(BEST)), cx.read(v.at(WITNESS))))
         }
     }
 
     /// The best value, or `fallback` when no candidate was offered.
-    pub fn best_value_or(&self, cx: &mut impl RedCtx, fallback: Word) -> Word {
+    pub fn best_value_or(&self, cx: &mut Ctx<'_>, fallback: Word) -> Word {
         self.best(cx).map(|(v, _)| v).unwrap_or(fallback)
     }
 }

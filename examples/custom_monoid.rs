@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use rader::prelude::*;
 use rader_cilk::{BlockScript, Loc, ViewMem, ViewMonoid};
-use rader_reducers::{dec_ptr, enc_ptr, RedCtx};
+use rader_reducers::{dec_ptr, enc_ptr};
 
 /// Interval-list monoid: a view is a linked list of `[lo, hi)` pairs
 /// (header `[head, tail, count]`, node `[lo, hi, next]`), concatenated
@@ -34,10 +34,10 @@ const TAIL: usize = 1;
 const COUNT: usize = 2;
 
 impl ViewMonoid for IntervalUnion {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         m.alloc(3)
     }
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let rhead = m.read(right.at(HEAD));
         if rhead == 0 {
             return;
@@ -51,7 +51,7 @@ impl ViewMonoid for IntervalUnion {
         let c = m.read(left.at(COUNT)) + m.read(right.at(COUNT));
         m.write(left.at(COUNT), c);
     }
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let node = m.alloc(3);
         m.write(node, op[0]);
         m.write(node.at(1), op[1]);
@@ -70,12 +70,12 @@ impl ViewMonoid for IntervalUnion {
 
 /// Collect the intervals out of the view (post-sync) and compute total
 /// covered length by sweeping.
-fn covered_length(cx: &mut impl RedCtx, view: Loc) -> Word {
+fn covered_length(cx: &mut Ctx<'_>, view: Loc) -> Word {
     let mut spans = Vec::new();
-    let mut cur = dec_ptr(cx.mem_read(view.at(HEAD)));
+    let mut cur = dec_ptr(cx.read(view.at(HEAD)));
     while let Some(n) = cur {
-        spans.push((cx.mem_read(n), cx.mem_read(n.at(1))));
-        cur = dec_ptr(cx.mem_read(n.at(2)));
+        spans.push((cx.read(n), cx.read(n.at(1))));
+        cur = dec_ptr(cx.read(n.at(2)));
     }
     spans.sort_unstable();
     let mut total = 0;

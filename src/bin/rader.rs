@@ -166,14 +166,6 @@ fn cmd_suite(o: &SuiteOpts) {
             verdict
         );
     }
-    // Scaling smoke: exercise the work-stealing pool and report steal
-    // traffic. Scheduling-dependent numbers stay on stdout only; the
-    // JSON report must remain deterministic.
-    let pool = suite::pool_smoke(opts.threads);
-    println!(
-        "pool-smoke: workers={} tasks={} steals={}",
-        pool.workers, pool.tasks, pool.steals
-    );
     for w in report.workloads.iter().filter(|w| !w.clean()) {
         println!("\n## {} races", w.name);
         if let Some(min) = &w.minimized {
@@ -314,15 +306,19 @@ fn cmd_json_check(path: &str) {
     // must match this binary's schema; unversioned documents pass as
     // plain JSON.
     match suite::embedded_schema_version(&text) {
-        Some(v) if v != u64::from(SCHEMA_VERSION) => {
+        Err(e) => {
+            eprintln!("rader: {path}: {e}");
+            std::process::exit(1);
+        }
+        Ok(Some(v)) if v != u64::from(SCHEMA_VERSION) => {
             eprintln!(
                 "rader: {path}: schema_version {v} does not match this \
                  binary's {SCHEMA_VERSION}"
             );
             std::process::exit(1);
         }
-        Some(v) => println!("{path}: valid JSON (schema_version {v})"),
-        None => println!("{path}: valid JSON"),
+        Ok(Some(v)) => println!("{path}: valid JSON (schema_version {v})"),
+        Ok(None) => println!("{path}: valid JSON"),
     }
 }
 

@@ -142,14 +142,19 @@ where
         .get(*i)
         .ok_or_else(|| format!("{flag} requires a value"))?;
     v.parse()
-        .map_err(|_| format!("{flag} value {v:?} is not a valid number"))
+        .map_err(|e| format!("{flag} value {v:?} is not a valid number: {e}"))
 }
 
 /// As [`take_number`] but additionally rejecting zero (thread and cap
-/// counts where 0 is always a typo).
-fn take_positive(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
-    let n: usize = take_number(args, i, flag)?;
-    if n == 0 {
+/// counts where 0 is always a typo). Parsing straight into the target
+/// type rejects out-of-range values instead of wrapping them.
+fn take_positive<T>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
+where
+    T: FromStr + PartialEq + From<u8>,
+    T::Err: Display,
+{
+    let n: T = take_number(args, i, flag)?;
+    if n == T::from(0) {
         return Err(format!("{flag} must be at least 1"));
     }
     Ok(n)
@@ -202,9 +207,9 @@ fn parse_suite(args: &[String]) -> Result<SuiteOpts, String> {
             "--reexecute" => o.reexecute = true,
             "--json" => o.json = Some(take_path(args, &mut i, "--json")?),
             "--threads" => o.threads = Some(take_positive(args, &mut i, "--threads")?),
-            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")? as u32),
+            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")?),
             "--max-spawn-count" => {
-                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")? as u32)
+                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")?)
             }
             "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
             "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
@@ -244,9 +249,9 @@ fn parse_exhaustive(args: &[String]) -> Result<ExhaustiveOpts, String> {
         match args[i].as_str() {
             "--reexecute" => o.reexecute = true,
             "--threads" => o.threads = Some(take_positive(args, &mut i, "--threads")?),
-            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")? as u32),
+            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")?),
             "--max-spawn-count" => {
-                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")? as u32)
+                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")?)
             }
             "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
             "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
@@ -412,6 +417,14 @@ mod tests {
         assert!(err.contains("--max-spawn-count"), "{err}");
         let err = parse_strs(&["suite", "--json"]).unwrap_err();
         assert!(err.contains("--json requires a file path"), "{err}");
+        // 2^32 must not wrap to a cap of 0.
+        for cmd in ["suite", "exhaustive"] {
+            for flag in ["--max-k", "--max-spawn-count"] {
+                let err = parse_strs(&[cmd, flag, "4294967296"]).unwrap_err();
+                assert!(err.contains(flag), "{cmd} {flag}: {err}");
+                assert!(err.contains("4294967296"), "{cmd} {flag}: {err}");
+            }
+        }
     }
 
     #[test]

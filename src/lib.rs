@@ -8,8 +8,8 @@
 //! This crate re-exports the workspace's public API:
 //!
 //! * [`cilk`] — the Cilk-style simulator: write fork-join programs against
-//!   [`cilk::Ctx`], run them serially (with optional simulated steals driven
-//!   by a [`cilk::StealSpec`]) or in parallel on a work-stealing pool.
+//!   [`cilk::Ctx`] and run them in Cilk serial order, with simulated
+//!   steals driven by a [`cilk::StealSpec`].
 //! * [`reducers`] — reducer hyperobjects: the [`reducers::Monoid`] trait and
 //!   builtin monoids (sum, min/max, list append, output stream, bag, ...).
 //! * [`core`] — the paper's contribution: the Peer-Set algorithm for
@@ -53,9 +53,7 @@ pub use rader_workloads as workloads;
 
 /// Convenience re-exports for writing and checking programs.
 pub mod prelude {
-    pub use rader_cilk::{
-        par::ParRuntime, Ctx, EmptyTool, Loc, SerialEngine, StealSpec, Tool, Word,
-    };
+    pub use rader_cilk::{Ctx, EmptyTool, Loc, SerialEngine, StealSpec, Tool, Word};
     pub use rader_core::{
         coverage, peerset::PeerSet, spbags::SpBags, spplus::SpPlus, RaceReport, Rader,
     };

@@ -33,7 +33,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use rader_cilk::par::{ParRuntime, PoolStats};
 use rader_cilk::SerialEngine;
 use rader_core::{
     coverage, CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined, RaceReport,
@@ -296,38 +295,6 @@ pub fn run_suite(workloads: &[Workload], opts: &SuiteOptions) -> Result<SuiteRep
     Ok(SuiteReport { workloads: out })
 }
 
-/// Exercise the work-stealing pool with a spawn-heavy calibration
-/// program and return its [`PoolStats`] — the suite's scaling smoke:
-/// at `workers ≥ 2` a healthy pool must record steals. Each task does
-/// enough work for sleeping helpers to wake and steal; statistically
-/// certain but not guaranteed per run, so retry a few times (the same
-/// discipline as the runtime's own distribution test).
-///
-/// The numbers are scheduling-dependent, so they are printed to stdout
-/// only — never serialized into the suite's deterministic `--json`
-/// output.
-pub fn pool_smoke(workers: usize) -> PoolStats {
-    let mut stats = PoolStats::default();
-    for _ in 0..10 {
-        let rt = ParRuntime::new(workers);
-        let (s, _) = rt.run(|cx| {
-            cx.par_for(0..512, 1, move |cx, _| {
-                let mut acc = 0u64;
-                for i in 0..20_000 {
-                    acc = acc.wrapping_mul(31).wrapping_add(i);
-                }
-                let cell = cx.alloc(1);
-                cx.write(cell, (acc % 5) as rader_cilk::Word);
-            });
-        });
-        stats = s;
-        if workers < 2 || stats.steals > 0 {
-            break;
-        }
-    }
-    stats
-}
-
 /// Escape a string for a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -365,12 +332,29 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 }
 
 /// Extract the top-level `"schema_version"` member of a JSON object
-/// document, if any. Scans only the top-level keys (a nested
-/// `schema_version` inside some other value is not a format marker).
-/// Returns `None` for non-objects, objects without the key, or
-/// non-integer values — `rader json-check` then treats the document as
-/// unversioned. Call only on input [`validate_json`] accepted.
-pub fn embedded_schema_version(s: &str) -> Option<u64> {
+/// document. Scans only the top-level keys (a nested `schema_version`
+/// inside some other value is not a format marker). Returns `Ok(None)`
+/// for non-objects and objects without the key; `rader json-check` then
+/// treats the document as unversioned. A present key must hold a plain
+/// non-negative integer that fits a `u64`: any other value (`-1`, `"2"`,
+/// `2.0`, ...) is an error naming `schema_version`, never a silent
+/// downgrade to unversioned. Call only on input [`validate_json`]
+/// accepted.
+pub fn embedded_schema_version(s: &str) -> Result<Option<u64>, String> {
+    let Some(text) = top_level_member(s, "schema_version") else {
+        return Ok(None);
+    };
+    match text.parse() {
+        Ok(v) if text.bytes().all(|c| c.is_ascii_digit()) => Ok(Some(v)),
+        _ => Err(format!(
+            "schema_version must be a non-negative integer, got {text:.40}"
+        )),
+    }
+}
+
+/// The source text of the value of top-level member `key`, if `s` is an
+/// object that has one.
+fn top_level_member<'s>(s: &'s str, key: &str) -> Option<&'s str> {
     let b = s.as_bytes();
     let mut i = 0usize;
     skip_ws(b, &mut i);
@@ -385,19 +369,18 @@ pub fn embedded_schema_version(s: &str) -> Option<u64> {
         }
         let key_start = i + 1;
         parse_string(b, &mut i).ok()?;
-        let key = &s[key_start..i - 1];
+        let found = &s[key_start..i - 1] == key;
         skip_ws(b, &mut i);
         if b.get(i) != Some(&b':') {
             return None;
         }
         i += 1;
         skip_ws(b, &mut i);
-        if key == "schema_version" {
-            let num_start = i;
-            parse_number(b, &mut i).ok()?;
-            return s[num_start..i].parse().ok();
-        }
+        let value_start = i;
         parse_value(b, &mut i, 1).ok()?;
+        if found {
+            return Some(&s[value_start..i]);
+        }
         skip_ws(b, &mut i);
         match b.get(i) {
             Some(b',') => i += 1,
@@ -532,8 +515,12 @@ fn parse_number(b: &[u8], i: &mut usize) -> Result<(), String> {
         }
         *i > s
     };
+    let int_start = *i;
     if !digits(b, i) {
         return Err(format!("expected digits at byte {start}"));
+    }
+    if b[int_start] == b'0' && *i - int_start > 1 {
+        return Err(format!("leading zero at byte {int_start}"));
     }
     if b.get(*i) == Some(&b'.') {
         *i += 1;
@@ -634,7 +621,7 @@ mod tests {
         }
         assert_eq!(
             embedded_schema_version(&json),
-            Some(u64::from(SCHEMA_VERSION)),
+            Ok(Some(u64::from(SCHEMA_VERSION))),
             "suite JSON must carry the shared schema version"
         );
         assert!(!rep.has_races());
@@ -644,20 +631,37 @@ mod tests {
     fn embedded_schema_version_scans_top_level_only() {
         assert_eq!(
             embedded_schema_version("{\"schema_version\": 7, \"x\": 1}"),
-            Some(7)
+            Ok(Some(7))
         );
         assert_eq!(
             embedded_schema_version("{\"x\": [1, 2], \"schema_version\": 3}"),
-            Some(3)
+            Ok(Some(3))
         );
         // Nested occurrences are not format markers.
         assert_eq!(
             embedded_schema_version("{\"x\": {\"schema_version\": 9}}"),
-            None
+            Ok(None)
         );
-        assert_eq!(embedded_schema_version("[{\"schema_version\": 9}]"), None);
-        assert_eq!(embedded_schema_version("{}"), None);
-        assert_eq!(embedded_schema_version("42"), None);
+        assert_eq!(
+            embedded_schema_version("[{\"schema_version\": 9}]"),
+            Ok(None)
+        );
+        assert_eq!(embedded_schema_version("{}"), Ok(None));
+        assert_eq!(embedded_schema_version("42"), Ok(None));
+        // A present key that is not a plain u64 is an error, not "unversioned".
+        for bad in [
+            "-1",
+            "\"2\"",
+            "2.0",
+            "2e0",
+            "null",
+            "[2]",
+            "18446744073709551616",
+        ] {
+            let doc = format!("{{\"schema_version\": {bad}}}");
+            let err = embedded_schema_version(&doc).unwrap_err();
+            assert!(err.contains("schema_version"), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -671,6 +675,13 @@ mod tests {
         assert!(validate_json("{\"a\" 1}").is_err());
         assert!(validate_json("\"unterminated").is_err());
         assert!(validate_json("01x").is_err());
+        // RFC 8259: no leading zeros, signed or not.
+        for bad in ["[01]", "-01", "00", "[1, 007]", "{\"a\": 00.5}"] {
+            assert!(validate_json(bad).is_err(), "{bad}");
+        }
+        for good in ["0", "-0", "[0.01]", "0e5", "10", "-100.001"] {
+            validate_json(good).unwrap();
+        }
         assert!(validate_json("[1] trailing").is_err());
         // Nesting is capped, not bounded by the stack: 128 levels parse,
         // the 129th opener is named, and a hostile 200,000-deep document

@@ -352,6 +352,40 @@ fn json_check_rejects_deep_nesting_with_exit_1() {
 }
 
 #[test]
+fn json_check_rejects_leading_zeros_and_malformed_schema_version_with_exit_1() {
+    let cases = [
+        ("zeros.json", "[01]", "leading zero"),
+        (
+            "sv-string.json",
+            "{\"schema_version\": \"2\"}",
+            "schema_version",
+        ),
+        (
+            "sv-negative.json",
+            "{\"schema_version\": -1}",
+            "schema_version",
+        ),
+        (
+            "sv-float.json",
+            "{\"schema_version\": 2.0}",
+            "schema_version",
+        ),
+    ];
+    for (name, body, needle) in cases {
+        let path = tmp(name);
+        fs::write(&path, body).unwrap();
+        let out = rader(&["json-check", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{body}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains(needle),
+            "{body}: {}",
+            stderr_of(&out)
+        );
+        let _ = fs::remove_file(&path);
+    }
+}
+
+#[test]
 fn removed_sweep_scheduling_flags_exit_2_naming_the_flag() {
     // The sweep has one scheduler and one chunk plan; the flags that once
     // selected alternatives are unknown arguments now.

@@ -128,33 +128,6 @@ fn prelude_surface_works() {
 }
 
 #[test]
-fn parallel_runtime_agrees_with_serial_engine() {
-    use rader::cilk::par::ParRuntime;
-    // The same logical program on both execution substrates.
-    let serial = {
-        let mut out = Vec::new();
-        SerialEngine::new().run(|cx| {
-            let list = ListMonoid::register(cx);
-            for i in 0..32 {
-                cx.spawn(move |cx| list.push_back(cx, i));
-            }
-            cx.sync();
-            out = list.to_vec(cx);
-        });
-        out
-    };
-    let (_stats, parallel) = ParRuntime::new(4).run(|cx| {
-        let list = ListMonoid::register(cx);
-        for i in 0..32 {
-            cx.spawn(move |cx| list.push_back(cx, i));
-        }
-        cx.sync();
-        list.to_vec(cx)
-    });
-    assert_eq!(serial, parallel);
-}
-
-#[test]
 fn pbfs_replay_is_report_identical_not_stream_identical() {
     // DESIGN.md §5b: pbfs walks its bag view after each sync, and the
     // bag's pennant structure depends on the reduce tree the steal

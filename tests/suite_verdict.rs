@@ -29,12 +29,12 @@ struct InteriorTouchy {
 }
 
 impl ViewMonoid for InteriorTouchy {
-    fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
+    fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
         let l = m.alloc(2);
         m.write(l, -1); // first = none
         l
     }
-    fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
+    fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
         let lf = m.read(left);
         let ln = m.read(left.at(1));
         let rf = m.read(right);
@@ -49,7 +49,7 @@ impl ViewMonoid for InteriorTouchy {
         }
         m.write(left.at(1), ln + rn);
     }
-    fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
+    fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
         let n = m.read(view.at(1));
         if n == 0 {
             m.write(view, op[0]);

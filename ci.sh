@@ -126,13 +126,52 @@ fi
 echo "== perfbench: seed 0 rebuilds the paper suite; every workload runs clean =="
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 for workload in figure7 sweep-frames sweep-accesses synth-corpus; do
-    last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 >"target/perfbench-$workload.out"
+    last=$(tail -n 1 "target/perfbench-$workload.out")
     if ! grep -Eq '"failed": 0[,}]' <<<"$last"; then
         echo "ERROR: perfbench $workload reported failures: ${last:0:200}" >&2
         exit 1
     fi
 done
+
+echo "== perfbench trajectory: end-to-end moves beyond their bounds (informational) =="
+# Compares each 1-s run above with the last --trace 0 run committed in
+# BENCH_<workload>.json and prints every end-to-end metric that moved
+# beyond its BENCHMARK.json bound. One second is a noisy sample, so this
+# never fails the gate; alternated 25-s pairs decide a perf claim.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'PY' || echo "trajectory diff failed to run; not gating on it"
+import json, math
+
+bench = json.load(open("BENCHMARK.json"))
+for w in [w["name"] for w in bench["workloads"]]:
+    runs = [r for r in json.load(open(f"BENCH_{w}.json"))["runs"] if r["trace"] == 0]
+    if not runs:
+        print(f"{w}: no committed --trace 0 run to compare with")
+        continue
+    base = {r["metric"]: r["value"] for r in runs[-1]["records"]}
+    with open(f"target/perfbench-{w}.out") as f:
+        now = json.loads(f.read().splitlines()[-1])["metrics"]
+    moved = 0
+    for m in bench["end_to_end"]:
+        name, bound = m["name"], m["bound"]
+        if name not in base or name not in now:
+            continue
+        old, new = base[name], now[name]["value"]
+        if not (math.isfinite(old) and math.isfinite(new)) or old == 0:
+            continue
+        rel = new / old - 1
+        if abs(rel) > bound:
+            moved += 1
+            worse = rel > 0 if m["better"] == "lower" else rel < 0
+            print(f"{w} {name}: {old:.4g} -> {new:.4g} {m['unit']} ({rel:+.0%}, "
+                  f"bound {bound:.0%}, {'worse' if worse else 'better'})")
+    print(f"{w}: {moved} end-to-end metric(s) beyond their bound")
+PY
+else
+    echo "python3 unavailable; skipping the trajectory diff"
+fi
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== rustfmt =="

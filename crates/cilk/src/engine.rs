@@ -469,6 +469,46 @@ impl<'t> Ctx<'t> {
         self.mem.set(loc, v);
     }
 
+    /// `len` instrumented reads of `base, base + 1, ...`, as `len` calls
+    /// of [`Ctx::read`] would make them but with one stats update, one
+    /// arena bounds check and one [`Tool::read_range`] call. The values
+    /// are not returned: only replay calls this, and it discards them.
+    /// Never recorded, for the same reason.
+    #[inline]
+    pub(crate) fn read_range(&mut self, base: Loc, len: u32) {
+        debug_assert!(self.recorder.is_none(), "replay does not record");
+        self.stats.reads += u64::from(len);
+        if let ToolRef::Dyn(t) = &mut self.tool {
+            t.read_range(
+                self.cur_frame,
+                StrandId(self.strand),
+                base,
+                len,
+                self.region,
+            );
+        }
+        let _ = self.mem.slice(base, len as usize);
+    }
+
+    /// Instrumented writes of `values` to `base, base + 1, ...`; the write
+    /// counterpart of [`Ctx::read_range`].
+    #[inline]
+    pub(crate) fn write_range(&mut self, base: Loc, values: &[Word]) {
+        debug_assert!(self.recorder.is_none(), "replay does not record");
+        let len = values.len() as u32;
+        self.stats.writes += u64::from(len);
+        if let ToolRef::Dyn(t) = &mut self.tool {
+            t.write_range(
+                self.cur_frame,
+                StrandId(self.strand),
+                base,
+                len,
+                self.region,
+            );
+        }
+        self.mem.set_slice(base, values);
+    }
+
     /// Read `base + i` (array convenience).
     #[inline]
     pub fn read_idx(&mut self, base: Loc, i: usize) -> Word {

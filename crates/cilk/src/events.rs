@@ -113,6 +113,16 @@ pub enum ReducerReadKind {
 /// All methods have empty default bodies, so a tool only overrides the hooks
 /// it needs. The engine invokes them through `&mut dyn Tool`, mirroring the
 /// indirect calls the paper's compiler instrumentation made.
+///
+/// The two range hooks, [`Tool::read_range`] and [`Tool::write_range`], are
+/// the exception: their defaults loop over [`Tool::read`] / [`Tool::write`]
+/// one element at a time, so a tool that ignores them sees exactly the
+/// per-element stream. Trace replay fires them for each recorded run of
+/// consecutive user accesses; live execution never does. Override them
+/// when per-access work has a part that does not depend on the location
+/// (as SP+'s accessor element and shadow entry do): the override pays
+/// that part once per run instead of once per element. It must leave the
+/// tool in the same state as the default loop would.
 #[allow(unused_variables)]
 pub trait Tool {
     /// The engine is about to feed this tool a fresh run (fired once at
@@ -152,6 +162,38 @@ pub trait Tool {
 
     /// A write of `loc` executed in `frame` on `strand`.
     fn write(&mut self, frame: FrameId, strand: StrandId, loc: Loc, kind: AccessKind) {}
+
+    /// Reads of the `len` consecutive locations starting at `base`, in
+    /// ascending order, all in `frame` on `strand` with the same `kind`.
+    /// Equivalent to one [`Tool::read`] per element, which is what the
+    /// default does.
+    fn read_range(
+        &mut self,
+        frame: FrameId,
+        strand: StrandId,
+        base: Loc,
+        len: u32,
+        kind: AccessKind,
+    ) {
+        for i in 0..len {
+            self.read(frame, strand, Loc(base.0 + i), kind);
+        }
+    }
+
+    /// Writes of the `len` consecutive locations starting at `base`, in
+    /// ascending order; the write counterpart of [`Tool::read_range`].
+    fn write_range(
+        &mut self,
+        frame: FrameId,
+        strand: StrandId,
+        base: Loc,
+        len: u32,
+        kind: AccessKind,
+    ) {
+        for i in 0..len {
+            self.write(frame, strand, Loc(base.0 + i), kind);
+        }
+    }
 
     /// A reducer-read (create / set / get) of reducer `h`.
     fn reducer_read(
@@ -227,5 +269,64 @@ impl Tool for CountingTool {
     }
     fn reducer_read(&mut self, _: FrameId, _: StrandId, _: ReducerId, _: ReducerReadKind) {
         self.reducer_reads += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Logs every per-element access it receives.
+    #[derive(Default, PartialEq, Debug)]
+    struct Log(Vec<(u32, bool, AccessKind)>);
+
+    impl Tool for Log {
+        fn read(&mut self, _: FrameId, _: StrandId, loc: Loc, kind: AccessKind) {
+            self.0.push((loc.0, false, kind));
+        }
+        fn write(&mut self, _: FrameId, _: StrandId, loc: Loc, kind: AccessKind) {
+            self.0.push((loc.0, true, kind));
+        }
+    }
+
+    fn feed(t: &mut dyn Tool, ranged: bool) {
+        let (f, s) = (FrameId(1), StrandId(2));
+        let runs = [
+            (Loc(10), 4, false, AccessKind::Oblivious),
+            (Loc(3), 1, true, AccessKind::Update),
+            (Loc(7), 0, false, AccessKind::Oblivious),
+            (Loc(20), 3, true, AccessKind::Oblivious),
+        ];
+        for (base, len, write, kind) in runs {
+            match (ranged, write) {
+                (true, false) => t.read_range(f, s, base, len, kind),
+                (true, true) => t.write_range(f, s, base, len, kind),
+                (false, _) => {
+                    for i in 0..len {
+                        let loc = Loc(base.0 + i);
+                        if write {
+                            t.write(f, s, loc, kind);
+                        } else {
+                            t.read(f, s, loc, kind);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_range_hooks_unpack_into_per_element_calls() {
+        let (mut ranged, mut single) = (CountingTool::default(), CountingTool::default());
+        feed(&mut ranged, true);
+        feed(&mut single, false);
+        assert_eq!(ranged, single);
+        assert_eq!((ranged.reads, ranged.writes), (4, 4));
+        assert_eq!(ranged.view_aware_accesses, 1);
+
+        let (mut ranged, mut single) = (Log::default(), Log::default());
+        feed(&mut ranged, true);
+        feed(&mut single, false);
+        assert_eq!(ranged, single, "same locations, kinds and order");
     }
 }

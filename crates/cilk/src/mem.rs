@@ -75,6 +75,18 @@ impl MemArena {
         self.cells[loc.index()] = v;
     }
 
+    /// The `len` words starting at `base`.
+    #[inline]
+    pub(crate) fn slice(&self, base: Loc, len: usize) -> &[Word] {
+        &self.cells[base.index()..base.index() + len]
+    }
+
+    /// Write `values` to the consecutive words starting at `base`.
+    #[inline]
+    pub(crate) fn set_slice(&mut self, base: Loc, values: &[Word]) {
+        self.cells[base.index()..base.index() + values.len()].copy_from_slice(values);
+    }
+
     /// Number of words allocated so far.
     #[inline]
     pub fn used(&self) -> usize {
@@ -105,6 +117,23 @@ mod tests {
         assert_eq!(a.get(p.at(1)), -7);
         assert_eq!(a.get(p.at(0)), 0);
         assert_eq!(a.used(), 3);
+    }
+
+    #[test]
+    fn slices_match_elementwise_access() {
+        let mut a = MemArena::new();
+        let p = a.alloc(5);
+        a.set_slice(p.at(1), &[4, 5, 6]);
+        assert_eq!(a.slice(p, 5), &[0, 4, 5, 6, 0]);
+        assert_eq!(a.get(p.at(3)), 6);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_bounds_slice_panics() {
+        let mut a = MemArena::new();
+        let p = a.alloc(2);
+        a.set_slice(p.at(1), &[1, 2]);
     }
 
     #[test]

@@ -493,12 +493,21 @@ impl Translator {
     }
 }
 
+/// The next `n` recorded write values, advancing past them.
+#[inline]
+fn take_values<'a>(stream: &mut &'a [Word], n: usize) -> &'a [Word] {
+    assert!(stream.len() >= n, "write-value stream underrun");
+    let (head, rest) = stream.split_at(n);
+    *stream = rest;
+    head
+}
+
 /// Re-feed a recorded trace to a live engine context. The context's steal
 /// specification decides which continuations are stolen and where reduces
 /// run, exactly as in a fresh execution.
 pub(crate) fn drive(cx: &mut Ctx<'_>, trace: &ProgramTrace) -> Result<(), ReplayError> {
     let mut xl = Translator::new();
-    let mut write_values = trace.write_values.iter();
+    let mut write_values = &trace.write_values[..];
     let mut run_lens = trace.run_lens.iter();
     let mut allocs = trace.allocs.iter();
     let mut updates = trace.updates.iter();
@@ -526,9 +535,7 @@ pub(crate) fn drive(cx: &mut Ctx<'_>, trace: &ProgramTrace) -> Result<(), Replay
             TraceEvent::ReadRun { loc } => {
                 let len = *run_lens.next().expect("run-length stream underrun");
                 if let Some(t) = xl.translate_range(loc, len) {
-                    for i in 0..len {
-                        let _ = cx.read(Loc(t + i));
-                    }
+                    cx.read_range(Loc(t), len);
                 } else {
                     // Range crosses an interval boundary or lives in
                     // view space: translate element-wise.
@@ -539,20 +546,17 @@ pub(crate) fn drive(cx: &mut Ctx<'_>, trace: &ProgramTrace) -> Result<(), Replay
                 }
             }
             TraceEvent::Write { loc } => {
-                let value = *write_values.next().expect("write-value stream underrun");
+                let value = take_values(&mut write_values, 1)[0];
                 let t = xl.translate(loc)?;
                 cx.write(t, value);
             }
             TraceEvent::WriteRun { loc } => {
                 let len = *run_lens.next().expect("run-length stream underrun");
+                let values = take_values(&mut write_values, len as usize);
                 if let Some(t) = xl.translate_range(loc, len) {
-                    for i in 0..len {
-                        let value = *write_values.next().expect("write-value stream underrun");
-                        cx.write(Loc(t + i), value);
-                    }
+                    cx.write_range(Loc(t), values);
                 } else {
-                    for i in 0..len {
-                        let value = *write_values.next().expect("write-value stream underrun");
+                    for (i, &value) in (0..).zip(values) {
                         let t = xl.translate(Loc(loc.0 + i))?;
                         cx.write(t, value);
                     }

@@ -44,11 +44,18 @@ impl ShadowSpace {
     /// Record `entry` as the last accessor of `loc`.
     #[inline]
     pub fn set(&mut self, loc: Loc, entry: ShadowEntry) {
+        self.grow_to(loc);
+        self.entries[loc.index()] = Some(entry);
+    }
+
+    /// Make room for entries up to and including `loc`, so a run of
+    /// `set`s below it grows the space once rather than once per element.
+    #[inline]
+    pub(crate) fn grow_to(&mut self, loc: Loc) {
         let i = loc.index();
         if i >= self.entries.len() {
             self.entries.resize(i + 1, None);
         }
-        self.entries[i] = Some(entry);
     }
 
     /// Number of locations with a recorded access.

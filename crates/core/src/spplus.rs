@@ -234,6 +234,52 @@ impl SpPlus {
         kind: AccessKind,
     ) {
         self.checks += 1;
+        let (me, current) = self.accessor(frame, strand, write, kind);
+        self.check_loc(loc, me, current);
+    }
+
+    /// `len` accesses of `base, base + 1, ...` by one strand: the loop of
+    /// [`SpPlus::access`] with everything that does not depend on the
+    /// location hoisted out of it (DESIGN.md §5f). Only the per-location
+    /// body runs per element, and it is the one `access` runs, so the
+    /// shadow spaces, the find cache, the report and `checks` end up
+    /// exactly as `len` calls of `access` would leave them.
+    fn access_range(
+        &mut self,
+        frame: FrameId,
+        strand: StrandId,
+        base: Loc,
+        len: u32,
+        write: bool,
+        kind: AccessKind,
+    ) {
+        if len == 0 {
+            return;
+        }
+        self.checks += u64::from(len);
+        let (me, current) = self.accessor(frame, strand, write, kind);
+        let last = Loc(base.0 + (len - 1));
+        if write {
+            self.writer.grow_to(last);
+        } else {
+            self.reader.grow_to(last);
+        }
+        for i in 0..len {
+            self.check_loc(Loc(base.0 + i), me, current);
+        }
+    }
+
+    /// The shadow entry and report record of an access by the running
+    /// strand: its element is the in-flight reduce's for a reduce access,
+    /// else the current frame's (closing any reduce region first).
+    #[inline]
+    fn accessor(
+        &mut self,
+        frame: FrameId,
+        strand: StrandId,
+        write: bool,
+        kind: AccessKind,
+    ) -> (ShadowEntry, AccessInfo) {
         let elem = if kind.in_reduce() {
             self.pending_reduce
                 .as_ref()
@@ -255,6 +301,15 @@ impl SpPlus {
             write,
             kind,
         };
+        (me, current)
+    }
+
+    /// Race-check one access to `loc` by `me` and update the shadow
+    /// spaces: the per-location body shared by [`SpPlus::access`] and
+    /// [`SpPlus::access_range`].
+    #[inline(always)]
+    fn check_loc(&mut self, loc: Loc, me: ShadowEntry, current: AccessInfo) {
+        let elem = me.elem;
         // Shadow update: replace only serial entries. A parallel (P-bag)
         // entry must survive — even against a reduce access whose view ID
         // matches it, because equal view IDs do not imply the previous
@@ -263,7 +318,7 @@ impl SpPlus {
         // parallel to the reduce). When the previous accessor *is* under a
         // merged view, the reduce's element joins its bag at the region
         // flush anyway, so keeping the old entry yields identical verdicts.
-        if write {
+        if current.write {
             self.check_prior(READER, self.reader.get(loc), elem, loc, current);
             // One lookup and one find serve both the check and the update.
             let bag = self.check_prior(WRITER, self.writer.get(loc), elem, loc, current);
@@ -395,6 +450,28 @@ impl Tool for SpPlus {
     fn write(&mut self, frame: FrameId, strand: StrandId, loc: Loc, kind: AccessKind) {
         self.access(frame, strand, loc, true, kind);
     }
+
+    fn read_range(
+        &mut self,
+        frame: FrameId,
+        strand: StrandId,
+        base: Loc,
+        len: u32,
+        kind: AccessKind,
+    ) {
+        self.access_range(frame, strand, base, len, false, kind);
+    }
+
+    fn write_range(
+        &mut self,
+        frame: FrameId,
+        strand: StrandId,
+        base: Loc,
+        len: u32,
+        kind: AccessKind,
+    ) {
+        self.access_range(frame, strand, base, len, true, kind);
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +530,96 @@ mod tests {
         assert_eq!(r.determinacy.len(), 1, "{r}");
         let race = r.determinacy[0];
         assert!(race.prior.write && !race.current.write, "{r}");
+    }
+
+    /// Per-element or range feeding of the same accesses.
+    fn feed_range(t: &mut SpPlus, ranged: bool, s: StrandId, base: Loc, len: u32, write: bool) {
+        let (f, k) = (FrameId(0), AccessKind::Oblivious);
+        match (ranged, write) {
+            (true, false) => t.read_range(f, s, base, len, k),
+            (true, true) => t.write_range(f, s, base, len, k),
+            (false, _) => {
+                for i in 0..len {
+                    let loc = Loc(base.0 + i);
+                    if write {
+                        t.write(f, s, loc, k);
+                    } else {
+                        t.read(f, s, loc, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A spawned child writes `a[5]` and `a[9]` and reads `a[12]` and
+    /// `a[13]`; the continuation then reads `a[0..10]` and writes
+    /// `a[10..14]`, so races fall in the middle and at the end of a run.
+    fn mid_run_races(ranged: bool) -> SpPlus {
+        let (root, child, k) = (FrameId(0), FrameId(1), AccessKind::Oblivious);
+        let a = |i: u32| Loc(100 + i);
+        let mut t = SpPlus::new();
+        t.begin_run();
+        t.frame_enter(root, EnterKind::Root);
+        t.frame_enter(child, EnterKind::Spawn);
+        t.write(child, StrandId(1), a(5), k);
+        t.write(child, StrandId(1), a(9), k);
+        t.read(child, StrandId(1), a(12), k);
+        t.read(child, StrandId(1), a(13), k);
+        t.frame_leave(child, EnterKind::Spawn);
+        feed_range(&mut t, ranged, StrandId(2), a(0), 10, false);
+        feed_range(&mut t, ranged, StrandId(2), a(10), 4, true);
+        t.sync(root);
+        t.frame_leave(root, EnterKind::Root);
+        t
+    }
+
+    #[test]
+    fn range_hooks_report_races_in_the_middle_of_a_run() {
+        let t = mid_run_races(true);
+        let r = t.report();
+        let locs: Vec<u32> = r.determinacy.iter().map(|race| race.loc.0).collect();
+        assert_eq!(locs, [105, 109, 112, 113], "{r}");
+        let (read, write) = (r.determinacy[0], r.determinacy[2]);
+        assert!(read.prior.write && !read.current.write, "{r}");
+        assert!(!write.prior.write && write.current.write, "{r}");
+        assert_eq!(read.prior.frame, FrameId(1));
+        assert_eq!(read.current.strand, StrandId(2));
+        assert_eq!(t.checks, 18);
+
+        let single = mid_run_races(false);
+        assert_eq!(single.report(), r);
+        assert_eq!(single.checks, t.checks);
+    }
+
+    #[test]
+    fn range_hooks_close_an_open_reduce_region_first() {
+        // A reduce writes `a[3]`, and the next hook is a run of user reads
+        // over it. Closing the region puts the reduce's element in the
+        // frame's P bag, so the read at `a[3]` races with it; a range loop
+        // that skipped the flush would see it as serial.
+        let run = |ranged: bool| {
+            let (root, child) = (FrameId(0), FrameId(1));
+            let mut t = SpPlus::new();
+            t.begin_run();
+            t.frame_enter(root, EnterKind::Root);
+            t.frame_enter(child, EnterKind::Spawn);
+            t.frame_leave(child, EnterKind::Spawn);
+            t.stolen_continuation(root, ViewId(1));
+            t.reduce_merge(root, ViewId(0), ViewId(1));
+            t.write(root, StrandId(3), Loc(103), AccessKind::Reduce);
+            feed_range(&mut t, ranged, StrandId(4), Loc(100), 5, false);
+            t.sync(root);
+            t.frame_leave(root, EnterKind::Root);
+            t.into_report()
+        };
+        let r = run(true);
+        assert_eq!(
+            r.racy_locs().into_iter().collect::<Vec<_>>(),
+            [Loc(103)],
+            "{r}"
+        );
+        assert_eq!(r.determinacy[0].prior.kind, AccessKind::Reduce, "{r}");
+        assert_eq!(run(false), r);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `rader` — command-line interface to the race detector.
 //!
 //! Run `rader help` for usage. Exit codes: 0 clean, 1 races found
-//! (`suite`), 2 usage error.
+//! (`suite`), 2 usage error, 141 stdout closed before the output ended.
 
 use std::time::Duration;
 
@@ -15,6 +15,36 @@ use rader::workloads::{self, fig1, Scale};
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
 use rader_cilk::{BlockScript, SerialEngine, StealSpec};
 use rader_dag::{HbGraph, TraceRecorder};
+
+/// `print!` that ends the process quietly when stdout is closed.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` that ends the process quietly when stdout is closed.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Write to stdout. `print!` panics when the reader of a pipe has gone
+/// (`rader exhaustive | head -1`); here a closed stdout ends the process
+/// quietly instead, with the status 141 a shell reports for a process
+/// that SIGPIPE killed, so the run never reads as a clean verdict. Any
+/// other write error exits 2 naming it.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("rader: cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,26 +63,26 @@ fn main() {
         Command::Exhaustive(o) => cmd_exhaustive(&o),
         Command::Dot { steals } => cmd_dot(steals),
         Command::JsonCheck { path } => cmd_json_check(&path),
-        Command::Help => println!("{}", cli::USAGE),
+        Command::Help => outln!("{}", cli::USAGE),
     }
 }
 
 fn cmd_fig1() {
     let rader = Rader::new();
-    println!("## Peer-Set on update_list with a premature get_value");
+    outln!("## Peer-Set on update_list with a premature get_value");
     let r = rader.check_view_read(|cx| fig1::update_list_premature_get(cx, 8));
-    print!("{r}");
-    println!("\n## SP+ on the shallow-copy race() (stealing continuation 1)");
+    out!("{r}");
+    outln!("\n## SP+ on the shallow-copy race() (stealing continuation 1)");
     let spec = StealSpec::EveryBlock(BlockScript::steals(vec![1]));
     let r = rader.check_determinacy(spec.clone(), |cx| {
         fig1::race_program(cx, 16);
     });
-    print!("{r}");
-    println!("\n## SP+ on the deep-copy fix (same schedule)");
+    out!("{r}");
+    outln!("\n## SP+ on the deep-copy fix (same schedule)");
     let r = rader.check_determinacy(spec, |cx| {
         fig1::race_program_fixed(cx, 16);
     });
-    print!("{r}");
+    out!("{r}");
 }
 
 fn fmt_ms(ns: u64) -> String {
@@ -82,16 +112,16 @@ fn print_degradations(
     quarantined: &[rader::core::Quarantined],
 ) {
     if partial {
-        println!("\n## {name}: partial coverage (budget deadline hit)");
+        outln!("\n## {name}: partial coverage (budget deadline hit)");
         for u in uncovered {
-            println!("  uncovered: {u}");
+            outln!("  uncovered: {u}");
         }
     }
     if !quarantined.is_empty() {
-        println!("\n## {name}: quarantined specs (worker panics isolated)");
+        outln!("\n## {name}: quarantined specs (worker panics isolated)");
         for q in quarantined {
-            println!("  spec {} {:?}: {}", q.spec_index, q.spec, q.payload);
-            println!("    minimized: {:?}", q.minimized);
+            outln!("  spec {} {:?}: {}", q.spec_index, q.spec, q.payload);
+            outln!("    minimized: {:?}", q.minimized);
         }
     }
 }
@@ -120,7 +150,7 @@ fn cmd_suite(o: &SuiteOpts) {
             std::process::exit(2);
         }
     };
-    println!(
+    outln!(
         "{:<10} {:>8} {:>10} {:>6} {:>8} {:>6} {:>4} {:>4} {:>10} {:>11} {:>9} {:>9} {:>8}  verdict",
         "benchmark",
         "frames",
@@ -148,7 +178,7 @@ fn cmd_suite(o: &SuiteOpts) {
         if !w.quarantined.is_empty() {
             verdict.push_str(&format!(" [quarantined {}]", w.quarantined.len()));
         }
-        println!(
+        outln!(
             "{:<10} {:>8} {:>10} {:>6} {:>8} {:>6} {:>4} {:>4} {:>10} {:>11} {:>9} {:>9} {:>8}  {}",
             w.name,
             w.frames,
@@ -167,11 +197,11 @@ fn cmd_suite(o: &SuiteOpts) {
         );
     }
     for w in report.workloads.iter().filter(|w| !w.clean()) {
-        println!("\n## {} races", w.name);
+        outln!("\n## {} races", w.name);
         if let Some(min) = &w.minimized {
-            println!("minimized reproducer: {min}");
+            outln!("minimized reproducer: {min}");
         }
-        print!("{}", w.report);
+        out!("{}", w.report);
     }
     for w in &report.workloads {
         print_degradations(&w.name, w.partial, &w.uncovered, &w.quarantined);
@@ -181,7 +211,7 @@ fn cmd_suite(o: &SuiteOpts) {
             eprintln!("rader: cannot write {path}: {e}");
             std::process::exit(2);
         }
-        println!("\nwrote {path}");
+        outln!("\nwrote {path}");
     }
     if report.has_races() {
         std::process::exit(1);
@@ -194,23 +224,25 @@ fn cmd_synth(o: &SynthOpts) {
         ..GenConfig::default()
     };
     let prog = gen_program(o.seed, &cfg);
-    println!("program (seed {}): {:?}\n", o.seed, prog.body);
+    outln!("program (seed {}): {:?}\n", o.seed, prog.body);
     let sweep = coverage::exhaustive_check(
         |cx| {
             run_synth(cx, &prog);
         },
         &CoverageOptions::default(),
     );
-    println!(
+    outln!(
         "exhaustive check: {} SP+ runs (K = {}, M = {})",
-        sweep.runs, sweep.k, sweep.m
+        sweep.runs,
+        sweep.k,
+        sweep.m
     );
-    print!("{}", sweep.report);
+    out!("{}", sweep.report);
     let vr = Rader::new().check_view_read(|cx| {
         run_synth(cx, &prog);
     });
     if vr.has_races() {
-        print!("{vr}");
+        out!("{vr}");
     }
     if o.dot {
         let mut rec = TraceRecorder::new();
@@ -218,7 +250,7 @@ fn cmd_synth(o: &SynthOpts) {
             run_synth(cx, &prog);
         });
         let hb = HbGraph::build(&rec.events);
-        println!("\n{}", hb.to_dot(&format!("synth-{}", o.seed)));
+        outln!("\n{}", hb.to_dot(&format!("synth-{}", o.seed)));
     }
 }
 
@@ -260,7 +292,7 @@ fn cmd_exhaustive(o: &ExhaustiveOpts) {
             std::process::exit(2);
         }
     };
-    println!(
+    outln!(
         "{} SP+ runs ({} replayed from trace; K = {}, M = {}; \
          record {}, sweep {} on {} thread(s), merge {}); \
          {} specification(s) exposed races:\n",
@@ -281,11 +313,11 @@ fn cmd_exhaustive(o: &ExhaustiveOpts) {
             },
             spec,
         );
-        println!("--- finding {i}: reproduce with {spec:?}");
+        outln!("--- finding {i}: reproduce with {spec:?}");
         if &minimal != spec {
-            println!("    minimized reproducer: {minimal:?}");
+            outln!("    minimized reproducer: {minimal:?}");
         }
-        print!("{report}");
+        out!("{report}");
     }
     print_degradations("fig1", sweep.partial, &sweep.uncovered, &sweep.quarantined);
 }
@@ -317,8 +349,8 @@ fn cmd_json_check(path: &str) {
             );
             std::process::exit(1);
         }
-        Ok(Some(v)) => println!("{path}: valid JSON (schema_version {v})"),
-        Ok(None) => println!("{path}: valid JSON"),
+        Ok(Some(v)) => outln!("{path}: valid JSON (schema_version {v})"),
+        Ok(None) => outln!("{path}: valid JSON"),
     }
 }
 
@@ -349,5 +381,5 @@ fn cmd_dot(steals: bool) {
         let _ = cx.reducer_get_view(h);
     });
     let hb = HbGraph::build(&rec.events);
-    println!("{}", hb.to_dot("figure2"));
+    outln!("{}", hb.to_dot("figure2"));
 }

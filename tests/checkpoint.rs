@@ -2,8 +2,9 @@
 //! come from outside the tool: malformed journals must exit 2 naming the
 //! problem (never silently re-sweep or merge bad data), resume must
 //! reproduce an uninterrupted run byte for byte, the fault-injection
-//! flags must quarantine without changing verdict semantics, and bad
-//! `json-check` files and unknown flags must fail with their exit codes.
+//! flags must quarantine without changing verdict semantics, bad
+//! `json-check` files and unknown flags must fail with their exit codes,
+//! and a closed stdout must end the process quietly.
 //!
 //! These drive the installed `rader` binary (via `CARGO_BIN_EXE_rader`)
 //! because the exit codes and stderr wording are the contract: scripts
@@ -11,7 +12,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Small sweep caps shared by every invocation here: keep the spec plan
 /// a few dozen specs so a dev-profile sweep is instant, while still
@@ -394,4 +395,24 @@ fn removed_sweep_scheduling_flags_exit_2_naming_the_flag() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
         assert!(stderr_of(&out).contains(args[1]), "{}", stderr_of(&out));
     }
+}
+
+#[test]
+fn closed_stdout_ends_the_process_quietly() {
+    // `rader exhaustive | head -1`: the reader goes away while rader still
+    // has output to write. Close the read end before rader has finished
+    // its sweep, so its first write meets a closed pipe. That must end
+    // the process with 141 (the status of a SIGPIPE death) and nothing on
+    // stderr, never with print!'s "failed printing to stdout" panic.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rader"))
+        .args(["exhaustive", "--threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rader");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for rader");
+    let stderr = stderr_of(&out);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(141), "stderr: {stderr}");
 }

@@ -21,6 +21,13 @@ echo "== bench smoke: scaling and ablations run end to end (1 sample) =="
 cargo bench -q --offline -p rader-bench --bench scaling -- --samples 1 --warmup 0
 cargo bench -q --offline -p rader-bench --bench ablations -- --samples 1 --warmup 0
 
+echo "== coverage experiments: Theorem 6/7 tables, Figure-1 sweep end to end =="
+# The only regenerator of EXPERIMENTS.md's Section-7 tables; its own
+# asserts (M = K(D+1), the sweep finds the Figure-1 race, some but not
+# all specs expose it) fail the gate.
+cargo run -q --release --offline -p rader-bench --bin coverage >target/coverage.out
+grep -q '5 of 13 specifications expose the Figure-1 race' target/coverage.out
+
 echo "== suite smoke: JSON report validates, racy entry exits nonzero =="
 RADER=target/release/rader
 SUITE_JSON=target/suite-smoke.json

@@ -1,63 +1,26 @@
-//! Engine-level ablations: what each layer of the event-stream
-//! architecture costs (DESIGN.md §5.1).
+//! The Section-7 sweep with trace replay vs re-execution: the one
+//! measurement of what recording once and replaying per spec saves.
 //!
-//! * uninstrumented run (static no-tool path, the Figure-7 denominator);
-//! * empty tool (dynamic dispatch to empty bodies, the Figure-8
-//!   denominator — the "instrumentation cost" the paper isolates);
-//! * view management under steals (steal + reduce machinery without any
-//!   detection);
-//! * the Section-7 sweep with trace replay vs re-execution.
+//! The per-layer costs of the engine itself (empty-tool dispatch, view
+//! and steal simulation) come from perfbench's traced `figure7` runs
+//! (`engine.dispatch_ms`, `engine.views_ms`).
 
 use rader_bench::timing::Harness;
-use rader_cilk::{BlockScript, Ctx, EmptyTool, SerialEngine, StealSpec};
+use rader_cilk::Ctx;
 use rader_core::{coverage, CoverageOptions};
-use rader_workloads::{dedup, ferret, fib};
+use rader_workloads::{dedup, ferret};
 
 fn main() {
     let mut h = Harness::from_args("engine");
-    bench_instrumentation_layers(&mut h);
     bench_exhaustive_sweep(&mut h);
     h.finish();
 }
 
-fn bench_instrumentation_layers(h: &mut Harness) {
-    let mut g = h.group("engine_layers");
-    let n = 16u32;
-
-    g.bench("uninstrumented", || {
-        SerialEngine::new().run(|cx| {
-            fib::fib_program(cx, n);
-        })
-    });
-
-    g.bench("empty_tool", || {
-        let mut t = EmptyTool;
-        SerialEngine::new().run_tool(&mut t, |cx| {
-            fib::fib_program(cx, n);
-        })
-    });
-
-    let spec = StealSpec::EveryBlock(BlockScript::steals(vec![1]));
-    let views_spec = spec.clone();
-    g.bench("views_no_tool", move || {
-        SerialEngine::with_spec(views_spec.clone()).run(|cx| {
-            fib::fib_program(cx, n);
-        })
-    });
-
-    g.bench("views_empty_tool", move || {
-        let mut t = EmptyTool;
-        SerialEngine::with_spec(spec.clone()).run_tool(&mut t, |cx| {
-            fib::fib_program(cx, n);
-        })
-    });
-}
-
-/// The tentpole comparison: `exhaustive_check` sweep time with trace
-/// replay (record once, replay per spec) vs honest re-execution of the
-/// user program per spec, on the two workloads where per-strand user
-/// work (hashing) dominates. Capped K/M keep the spec count identical
-/// across both modes and small enough for the CI smoke run.
+/// `exhaustive_check` sweep time with trace replay (record once, replay
+/// per spec) vs honest re-execution of the user program per spec, on the
+/// two workloads where per-strand user work (hashing) dominates. Capped
+/// K/M keep the spec count identical across both modes and small enough
+/// for the CI smoke run.
 fn bench_exhaustive_sweep(h: &mut Harness) {
     let opts = |replay| CoverageOptions {
         max_k: Some(3),

@@ -1,7 +1,7 @@
 //! Minimal in-tree timing harness for the `[[bench]]` targets.
 //!
 //! Replaces the statistics-grade external harness with the measurement
-//! loop the tables actually need: a few warmup runs, `N` timed samples,
+//! loop the benches actually need: a few warmup runs, `N` timed samples,
 //! and the **median** reported (robust to the occasional slow outlier,
 //! unlike min-of-N it does not reward lucky cache states). Each target
 //! is a plain `harness = false` binary:
@@ -20,11 +20,12 @@
 //! * `<substring>` — run only benches whose `group/label` matches;
 //! * `--samples N` / `--warmup N` — measurement loop knobs;
 //! * `--json PATH` — also write the results as a JSON array with the
-//!   fields backing `bench_results_tables.txt` (`group`, `name`,
-//!   `median_ns`, `min_ns`, `max_ns`, `samples`).
+//!   fields `group`, `name`, `median_ns`, `min_ns`, `max_ns`, `samples`.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+
+use rader_core::coverage::json_escape;
 
 pub use std::hint::black_box;
 
@@ -58,7 +59,7 @@ pub fn median(samples: &[Duration]) -> Duration {
     }
 }
 
-/// Render a duration the way the tables do: µs under 1 ms, ms under 1 s.
+/// Render a duration for the printed results: µs under 1 ms, ms under 1 s.
 pub fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -70,21 +71,6 @@ pub fn fmt_duration(d: Duration) -> String {
     } else {
         format!("{:.3} s", ns as f64 / 1e9)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serialize measurements as a JSON array (no external serializer).

@@ -379,9 +379,9 @@ impl ExhaustiveReport {
     }
 }
 
-/// Escape a string for a JSON string literal (sweep family names and
-/// panic payloads may contain arbitrary text).
-fn json_escape(s: &str) -> String {
+/// Escape a string for a JSON string literal (sweep family names, panic
+/// payloads and workload names may contain arbitrary text).
+pub fn json_escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -91,20 +91,9 @@ impl RaceReport {
     /// [`ReportMerger`], which keeps the sets across calls instead of
     /// rebuilding them per merge.
     pub fn merge(&mut self, other: &RaceReport) {
-        self.frame_labels
-            .extend(other.frame_labels.iter().map(|(k, v)| (*k, *v)));
-        let mut locs = self.racy_locs();
-        for r in &other.determinacy {
-            if locs.insert(r.loc) {
-                self.determinacy.push(*r);
-            }
-        }
-        let mut reds = self.racy_reducers();
-        for r in &other.view_read {
-            if reds.insert(r.reducer) {
-                self.view_read.push(*r);
-            }
-        }
+        let mut merger = ReportMerger::starting_from(std::mem::take(self));
+        merger.merge(other);
+        *self = merger.finish();
     }
 }
 
@@ -128,8 +117,17 @@ impl ReportMerger {
         Self::default()
     }
 
+    /// A merger whose first folded-in report is `report`.
+    fn starting_from(report: RaceReport) -> Self {
+        Self {
+            locs: report.racy_locs(),
+            reducers: report.racy_reducers(),
+            report,
+        }
+    }
+
     /// Fold `other` in: first race per location/reducer wins, in merge
-    /// order (matching [`RaceReport::merge`] semantics exactly).
+    /// order. [`RaceReport::merge`] is this rule applied once.
     pub fn merge(&mut self, other: &RaceReport) {
         self.report
             .frame_labels

@@ -219,8 +219,6 @@ pub fn workload(scale: Scale) -> Workload {
     let expect = collision_reference(&scene);
     Workload {
         name: "collision",
-        description: "Collision detection in 3D",
-        input_label: format!("{size}"),
         run: Box::new(move |cx| {
             let got = collision_program(cx, &scene);
             assert_eq!(got, expect, "collision count wrong");

@@ -227,8 +227,6 @@ pub fn workload(scale: Scale) -> Workload {
     let expect = dedup_reference(&input);
     Workload {
         name: "dedup",
-        description: "Compression program",
-        input_label: "medium (synthetic)".to_string(),
         run: Box::new(move |cx| {
             let (records, uniques) = dedup_program(cx, &input);
             assert_eq!(records as usize, expect.len());

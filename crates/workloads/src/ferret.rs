@@ -157,8 +157,6 @@ pub fn workload(scale: Scale) -> Workload {
     let (expect_hits, expect_sum) = ferret_reference(&corpus);
     Workload {
         name: "ferret",
-        description: "Image similarity search",
-        input_label: "large (synthetic)".to_string(),
         run: Box::new(move |cx| {
             let (hits, checksum) = ferret_program(cx, &corpus);
             assert_eq!(hits as usize, expect_hits.len());

@@ -50,8 +50,6 @@ pub fn workload(scale: Scale) -> Workload {
     };
     Workload {
         name: "fib",
-        description: "Recursive Fibonacci",
-        input_label: format!("{n}"),
         run: Box::new(move |cx| {
             let expect = fib_reference(n);
             let got = fib_program(cx, n);

@@ -121,8 +121,6 @@ pub fn update_list_premature_get(cx: &mut Ctx<'_>, n: u64) {
 pub fn workload(_scale: Scale) -> Workload {
     Workload {
         name: "fig1",
-        description: "Figure 1 list example (fixed variant)",
-        input_label: "n = 16".to_string(),
         run: Box::new(move |cx| {
             let len = race_program_fixed(cx, 16);
             assert_eq!(len, 3);
@@ -138,8 +136,6 @@ pub fn workload(_scale: Scale) -> Workload {
 pub fn workload_racy(_scale: Scale) -> Workload {
     Workload {
         name: "fig1-racy",
-        description: "Figure 1 list example (shallow-copy bug)",
-        input_label: "n = 8".to_string(),
         run: Box::new(move |cx| {
             race_program(cx, 8);
         }),

@@ -190,8 +190,6 @@ pub fn workload(scale: Scale) -> Workload {
     let expect = knapsack_reference(&inst);
     Workload {
         name: "knapsack",
-        description: "Recursive knapsack",
-        input_label: format!("{n}"),
         run: Box::new(move |cx| {
             let got = knapsack_program(cx, &inst);
             assert_eq!(got, expect, "knapsack({n}) wrong");

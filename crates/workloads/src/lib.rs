@@ -35,26 +35,23 @@ pub mod pbfs;
 
 use rader_cilk::Ctx;
 
-/// A benchmark that the Figure-7/8 harness can run at a given scale.
+/// A benchmark of the paper's evaluation, built at a given scale.
 pub struct Workload {
     /// Benchmark name as it appears in the paper's tables.
     pub name: &'static str,
-    /// Description column of the paper's tables.
-    pub description: &'static str,
-    /// Input-size label.
-    pub input_label: String,
     /// The program, re-runnable (one fresh engine per run).
     pub run: Box<dyn Fn(&mut Ctx<'_>) + Sync>,
 }
 
-/// Scale factor for the benchmark suite: `Small` for tests, `Paper` for
-/// the table harness (sized so the full Figure-7/8 sweep completes in
-/// minutes on a laptop while keeping the paper's relative work profile).
+/// Scale factor for the benchmark suite: `Small` for tests and the
+/// default `rader suite`, `Paper` for `rader suite --paper` and
+/// perfbench's `figure7` workload (which times every Figure-7/8 cell at
+/// this scale, keeping the paper's relative work profile).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Test-sized inputs (seconds for the whole suite × all configs).
+    /// Test-sized inputs.
     Small,
-    /// Inputs scaled for the Figure-7/8 harness (minutes).
+    /// The inputs of Figures 7/8, as perfbench's `figure7` times them.
     Paper,
 }
 

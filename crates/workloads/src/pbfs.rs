@@ -231,8 +231,6 @@ pub fn workload(scale: Scale) -> Workload {
     let expect = pbfs_reference(&g, 0);
     Workload {
         name: "pbfs",
-        description: "Parallel breadth-first search",
-        input_label: format!("|V| = {n}, |E| = {}", g.m()),
         run: Box::new(move |cx| {
             let got = pbfs_program(cx, &g, 0);
             assert_eq!(got, expect, "pbfs checksum wrong");

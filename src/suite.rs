@@ -35,8 +35,9 @@ use std::time::{Duration, Instant};
 
 use rader_cilk::SerialEngine;
 use rader_core::{
-    coverage, CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined, RaceReport,
-    SweepControl, SCHEMA_VERSION,
+    coverage::{self, json_escape},
+    CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined, RaceReport, SweepControl,
+    SCHEMA_VERSION,
 };
 use rader_workloads::Workload;
 
@@ -295,25 +296,6 @@ pub fn run_suite(workloads: &[Workload], opts: &SuiteOptions) -> Result<SuiteRep
     Ok(SuiteReport { workloads: out })
 }
 
-/// Escape a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Validate that `s` is well-formed JSON (one top-level value). A
 /// dependency-free syntax check used by `rader json-check` so CI can
 /// verify `--json` output even where no system JSON tool is installed.
@@ -568,8 +550,6 @@ mod tests {
         let c = count.clone();
         let w = rader_workloads::Workload {
             name: "counting",
-            description: "counts its own executions",
-            input_label: String::new(),
             run: Box::new(move |cx| {
                 c.fetch_add(1, Ordering::Relaxed);
                 let h = cx.new_reducer(Arc::new(rader_cilk::synth::SynthAdd));

@@ -80,8 +80,6 @@ fn interior_race_program(cx: &mut Ctx<'_>) {
 fn interior_workload() -> Workload {
     Workload {
         name: "interior",
-        description: "race visible only to an interior reduce op",
-        input_label: String::new(),
         run: Box::new(|cx| interior_race_program(cx)),
     }
 }

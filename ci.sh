@@ -187,4 +187,11 @@ else
     echo "== rustfmt unavailable; skipping format check =="
 fi
 
+if cargo clippy --version >/dev/null 2>&1; then
+    echo "== clippy (every target, warnings are errors) =="
+    cargo clippy --workspace --all-targets --offline -- -D warnings
+else
+    echo "== clippy unavailable; skipping lint check =="
+fi
+
 echo "CI OK"

@@ -54,8 +54,7 @@ impl AllReadersSpBags {
 
 impl Tool for AllReadersSpBags {
     fn frame_enter(&mut self, _f: FrameId, _k: EnterKind) {
-        let elem = self.forest.make_elem();
-        let s = self.forest.make_bag_with(BagKind::S, ViewId::NONE, elem);
+        let (elem, s) = self.forest.make_elem_bag(BagKind::S, ViewId::NONE);
         let p = self.forest.make_bag(BagKind::P, ViewId::NONE);
         self.stack.push((elem, s, p));
     }

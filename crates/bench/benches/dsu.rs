@@ -8,11 +8,10 @@ fn main() {
     let mut h = Harness::from_args("dsu");
     let mut g = h.group("dsu");
 
-    g.bench("make_bag_with_elem", || {
-        let mut f = BagForest::with_capacity(2048);
+    g.bench("make_elem_bag", || {
+        let mut f = BagForest::with_capacity(1024);
         for _ in 0..1024 {
-            let e = f.make_elem();
-            black_box(f.make_bag_with(BagKind::S, ViewId(0), e));
+            black_box(f.make_elem_bag(BagKind::S, ViewId(0)));
         }
         f.len()
     });
@@ -22,8 +21,7 @@ fn main() {
         let root = f.make_bag(BagKind::P, ViewId(0));
         let elems: Vec<_> = (0..1024)
             .map(|_| {
-                let e = f.make_elem();
-                let bag = f.make_bag_with(BagKind::S, ViewId(0), e);
+                let (e, bag) = f.make_elem_bag(BagKind::S, ViewId(0));
                 f.union_bags(root, bag);
                 e
             })
@@ -42,8 +40,7 @@ fn main() {
         let mut stack = Vec::new();
         let mut hits = 0usize;
         for i in 0..512 {
-            let e = f.make_elem();
-            let s = f.make_bag_with(BagKind::S, ViewId(0), e);
+            let (e, s) = f.make_elem_bag(BagKind::S, ViewId(0));
             let p = f.make_bag(BagKind::P, ViewId(0));
             stack.push((e, s, p));
             if i % 3 == 2 {

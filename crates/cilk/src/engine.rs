@@ -639,11 +639,8 @@ fn find_view(views: &[(ViewId, Loc)], epoch: ViewId) -> Option<Loc> {
 }
 
 fn take_view(views: &mut Vec<(ViewId, Loc)>, epoch: ViewId) -> Option<Loc> {
-    if let Some(pos) = views.iter().rposition(|(e, _)| *e == epoch) {
-        Some(views.swap_remove(pos).1)
-    } else {
-        None
-    }
+    let pos = views.iter().rposition(|(e, _)| *e == epoch)?;
+    Some(views.swap_remove(pos).1)
 }
 
 fn par_for_rec<'t>(

@@ -84,9 +84,10 @@ impl BlockScript {
 
 /// A steal specification: fixes which continuations are stolen and when
 /// reduces execute, across the whole execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum StealSpec {
     /// No continuations are stolen; no views are created.
+    #[default]
     None,
     /// Apply the same script to every sync block of every frame.
     EveryBlock(BlockScript),
@@ -147,12 +148,6 @@ impl StealSpec {
     /// with total spawn count `spawn_count` be stolen?
     pub fn steal_at_spawn_count(&self, spawn_count: u32) -> bool {
         matches!(self, StealSpec::AtSpawnCount(j) if *j == spawn_count)
-    }
-}
-
-impl Default for StealSpec {
-    fn default() -> Self {
-        StealSpec::None
     }
 }
 

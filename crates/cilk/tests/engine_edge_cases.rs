@@ -85,7 +85,7 @@ fn single_iteration_par_for() {
 
 #[test]
 fn nested_par_for() {
-    let mut grid = vec![0u32; 36];
+    let mut grid = [0u32; 36];
     SerialEngine::new().run(|cx| {
         let cells = cx.alloc(36);
         cx.par_for(0..6, 2, &mut |cx, i| {

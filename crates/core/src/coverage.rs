@@ -356,12 +356,12 @@ impl ExhaustiveReport {
             .collect::<Vec<_>>()
             .join(", ");
         let mut out = String::new();
-        let _ = write!(
+        let _ = writeln!(
             out,
             "{{\"schema_version\": {}, \"runs\": {}, \"replayed\": {}, \
              \"k\": {}, \"m\": {}, \"claims\": {}, \"spplus_checks\": {}, \
              \"findings\": {}, \"races\": {}, \"partial\": {}, \
-             \"uncovered\": [{}], \"quarantined\": {}}}\n",
+             \"uncovered\": [{}], \"quarantined\": {}}}",
             journal::SCHEMA_VERSION,
             self.runs,
             self.replayed,
@@ -517,7 +517,7 @@ fn sweep_chunk(
     let specs = &plan.specs;
     let before = tool.checks;
     let mut outcomes = Vec::with_capacity(end - start);
-    for i in start..end {
+    for (i, spec) in (start..end).zip(&specs[start..end]) {
         let fault = faults.map_or(Fault::None, |f| f.fault_for(i));
         if let Fault::Delay(d) = fault {
             std::thread::sleep(d);
@@ -530,7 +530,7 @@ fn sweep_chunk(
                     faults.map_or(0, FaultPlan::seed)
                 );
             }
-            sweep_one(program, plan.trace.as_ref(), &specs[i], tool)
+            sweep_one(program, plan.trace.as_ref(), spec, tool)
         }));
         match result {
             Ok((report, replayed)) => outcomes.push(SpecOutcome::Checked { report, replayed }),
@@ -538,7 +538,7 @@ fn sweep_chunk(
                 let checks = tool.checks;
                 *tool = SpPlus::new();
                 tool.checks = checks;
-                let spec = specs[i].clone();
+                let spec = spec.clone();
                 let minimized = minimize_panicking_spec(program, &spec, injected);
                 outcomes.push(SpecOutcome::Quarantined {
                     spec,

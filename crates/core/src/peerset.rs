@@ -102,8 +102,7 @@ impl Tool for PeerSet {
             }
             None => 0,
         };
-        let elem = self.forest.make_elem();
-        let ss = self.forest.make_bag_with(BagKind::SS, ViewId::NONE, elem);
+        let (elem, ss) = self.forest.make_elem_bag(BagKind::SS, ViewId::NONE);
         let sp = self.forest.make_bag(BagKind::SP, ViewId::NONE);
         let p = self.forest.make_bag(BagKind::P, ViewId::NONE);
         let _ = frame;

@@ -112,12 +112,12 @@ impl LocSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rader_dsu::BagForest;
+    use rader_dsu::{BagForest, BagKind, ViewId};
 
     #[test]
     fn set_get_roundtrip() {
         let mut f = BagForest::new();
-        let e = f.make_elem();
+        let (e, _) = f.make_elem_bag(BagKind::S, ViewId::NONE);
         let mut s = ShadowSpace::new();
         assert!(s.get(Loc(5)).is_none());
         s.set(

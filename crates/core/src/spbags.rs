@@ -148,8 +148,7 @@ impl SpBags {
 
 impl Tool for SpBags {
     fn frame_enter(&mut self, _frame: FrameId, _kind: EnterKind) {
-        let elem = self.forest.make_elem();
-        let s = self.forest.make_bag_with(BagKind::S, ViewId::NONE, elem);
+        let (elem, s) = self.forest.make_elem_bag(BagKind::S, ViewId::NONE);
         let p = self.forest.make_bag(BagKind::P, ViewId::NONE);
         self.stack.push(Frame { elem, s, p });
     }

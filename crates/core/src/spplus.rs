@@ -3,7 +3,8 @@
 //! SP+ extends SP-bags to detect determinacy races in computations that
 //! use reducers, executing serially under a *steal specification* that
 //! fixes which continuations are stolen and when reduces run. Each frame's
-//! single P bag becomes a **stack of P bags**, each tagged with a view ID:
+//! single P bag becomes a **stack of P bags**, each tagged with a view ID
+//! (all frames' stacks share one vector; DESIGN.md §5f):
 //!
 //! * a stolen continuation pushes a fresh P bag with a fresh view ID;
 //! * a reduce pops the top P bag and unions it into the one below
@@ -32,10 +33,9 @@ use crate::shadow::{LocSet, ShadowEntry, ShadowSpace};
 struct Frame {
     elem: Elem,
     s: Bag,
-    /// Stack of P bags; the top carries the current view ID.
-    pstack: Vec<Bag>,
-    /// View ID at frame entry (restored at each sync).
-    entry_vid: ViewId,
+    /// Index of this frame's bottom P bag in [`SpPlus::pstack`]; its
+    /// entries are `pstack[base..]` while it is the running frame.
+    base: usize,
 }
 
 /// An in-flight `Reduce` invocation: its accesses are recorded under a
@@ -57,6 +57,12 @@ const WRITER: usize = 1;
 pub struct SpPlus {
     forest: BagForest,
     stack: Vec<Frame>,
+    /// Every active frame's stack of P bags, the running frame's on top,
+    /// each with its view ID. A P bag's view ID never changes while the
+    /// bag is here (every union into it keeps the destination's), so the
+    /// top entry's is the current view ID without a find. A frame's
+    /// bottom entry carries its entry view ID, restored at each sync.
+    pstack: Vec<(Bag, ViewId)>,
     reader: ShadowSpace,
     writer: ShadowSpace,
     pending_reduce: Option<PendingReduce>,
@@ -65,8 +71,8 @@ pub struct SpPlus {
     /// per space, because a read consults both spaces and their prior
     /// elements usually differ. Valid until the next union: between
     /// unions no element changes bag and no bag changes kind or view ID.
-    /// (`make_bag_with` only places elements created just before, which
-    /// cannot be cached.)
+    /// (`make_elem_bag` only places elements it creates, which cannot be
+    /// cached.)
     last_find: [Option<(Elem, BagInfo)>; 2],
     report: RaceReport,
     /// Locations already in `report` (one race per location).
@@ -91,6 +97,7 @@ impl SpPlus {
         SpPlus {
             forest: BagForest::new(),
             stack: Vec::with_capacity(64),
+            pstack: Vec::with_capacity(64),
             reader: ShadowSpace::new(),
             writer: ShadowSpace::new(),
             pending_reduce: None,
@@ -131,19 +138,25 @@ impl SpPlus {
         }
     }
 
-    /// The current view ID: the top P bag's view of the current frame.
+    /// The running frame's top P bag and its view ID, the current one.
+    #[inline]
+    fn top(&mut self) -> (Bag, ViewId) {
+        let (top, vid) = *self.pstack.last().expect("empty P stack");
+        debug_assert_eq!(self.forest.bag_info(top).vid, vid, "stale view ID");
+        (top, vid)
+    }
+
+    /// The current view ID, read from the P-bag stack without a find.
+    #[inline]
     fn current_vid(&mut self) -> ViewId {
-        let f = self.stack.last().expect("no active frame");
-        let top = *f.pstack.last().expect("empty P stack");
-        self.forest.bag_info(top).vid
+        self.top().1
     }
 
     /// Close the in-flight reduce region, folding its accesses' element
     /// into the current top P bag (whose view ID they share).
     fn flush_reduce(&mut self) {
         if let Some(pr) = self.pending_reduce.take() {
-            let f = self.stack.last().expect("no active frame");
-            let top = *f.pstack.last().expect("empty P stack");
+            let top = self.top().0;
             self.union(top, pr.sbag);
         }
     }
@@ -348,6 +361,7 @@ impl Tool for SpPlus {
         self.forest.reset();
         self.last_find = [None; 2];
         self.stack.clear();
+        self.pstack.clear();
         self.reader.reset();
         self.writer.reset();
         self.pending_reduce = None;
@@ -361,15 +375,11 @@ impl Tool for SpPlus {
             Some(_) => self.current_vid(),
             None => ViewId(0),
         };
-        let elem = self.forest.make_elem();
-        let s = self.forest.make_bag_with(BagKind::S, vid, elem);
+        let (elem, s) = self.forest.make_elem_bag(BagKind::S, vid);
         let p = self.forest.make_bag(BagKind::P, vid);
-        self.stack.push(Frame {
-            elem,
-            s,
-            pstack: vec![p],
-            entry_vid: vid,
-        });
+        let base = self.pstack.len();
+        self.stack.push(Frame { elem, s, base });
+        self.pstack.push((p, vid));
     }
 
     fn frame_label(&mut self, frame: FrameId, label: &'static str) {
@@ -379,14 +389,19 @@ impl Tool for SpPlus {
     fn frame_leave(&mut self, _frame: FrameId, kind: EnterKind) {
         self.flush_reduce();
         let g = self.stack.pop().expect("leave with empty stack");
-        debug_assert_eq!(g.pstack.len(), 1, "child returned with unreduced views");
+        debug_assert_eq!(
+            self.pstack.len(),
+            g.base + 1,
+            "child returned with unreduced views"
+        );
+        self.pstack.truncate(g.base);
         let Some(f) = self.stack.last() else {
             return;
         };
         match kind {
             EnterKind::Spawn => {
                 // Spawned G returns: Top(F.P) ∪= G.S.
-                let top = *f.pstack.last().expect("empty P stack");
+                let top = self.top().0;
                 self.union(top, g.s);
             }
             _ => {
@@ -401,45 +416,43 @@ impl Tool for SpPlus {
         self.flush_reduce();
         let f = self.stack.last().expect("sync with empty stack");
         debug_assert_eq!(
-            f.pstack.len(),
-            1,
+            self.pstack.len(),
+            f.base + 1,
             "sync reached with unreduced views (engine must reduce first)"
         );
-        let (s, top, entry_vid) = (f.s, *f.pstack.last().unwrap(), f.entry_vid);
+        let s = f.s;
+        let (top, entry_vid) = self.top();
         // F.S ∪= Top(F.P); Top(F.P) = fresh bag with the frame's view.
         self.union(s, top);
         let fresh = self.forest.make_bag(BagKind::P, entry_vid);
-        let f = self.stack.last_mut().unwrap();
-        f.pstack.clear();
-        f.pstack.push(fresh);
+        *self.pstack.last_mut().unwrap() = (fresh, entry_vid);
     }
 
     fn stolen_continuation(&mut self, _frame: FrameId, vid: ViewId) {
         self.flush_reduce();
         self.steals += 1;
+        assert!(!self.stack.is_empty(), "steal with empty stack");
         let p = self.forest.make_bag(BagKind::P, vid);
-        self.stack
-            .last_mut()
-            .expect("steal with empty stack")
-            .pstack
-            .push(p);
+        self.pstack.push((p, vid));
     }
 
     fn reduce_merge(&mut self, _frame: FrameId, _dst: ViewId, _src: ViewId) {
         self.flush_reduce();
         self.reduces += 1;
-        let f = self.stack.last_mut().expect("reduce with empty stack");
-        let popped = f.pstack.pop().expect("reduce with single-bag P stack");
-        let top = *f.pstack.last().expect("reduce emptied the P stack");
+        let f = self.stack.last().expect("reduce with empty stack");
+        assert!(
+            self.pstack.len() > f.base + 1,
+            "reduce with single-bag P stack"
+        );
+        let (popped, _) = self.pstack.pop().unwrap();
         // Union the newer bag into the older; the dominating view ID
         // survives (destination-wins union).
+        let (top, vid) = self.top();
         self.union(top, popped);
-        debug_assert_eq!(self.forest.bag_info(top).vid, _dst);
+        debug_assert_eq!(vid, _dst);
         // The reduce runs as its own invocation; its accesses join the
         // merged P bag when the region closes.
-        let elem = self.forest.make_elem();
-        let vid = self.forest.bag_info(top).vid;
-        let sbag = self.forest.make_bag_with(BagKind::S, vid, elem);
+        let (elem, sbag) = self.forest.make_elem_bag(BagKind::S, vid);
         self.pending_reduce = Some(PendingReduce { elem, sbag });
     }
 
@@ -620,6 +633,60 @@ mod tests {
         );
         assert_eq!(r.determinacy[0].prior.kind, AccessKind::Reduce, "{r}");
         assert_eq!(run(false), r);
+    }
+
+    #[test]
+    fn child_views_leave_the_parents_view_on_the_shared_p_stack() {
+        // A called child G steals twice and reduces both views inside the
+        // root's stolen view 1. Every frame's P bags share one stack, so
+        // G's entries must be gone when it returns and the root must be
+        // back under view 1, then under view 0 after its own reduce.
+        let (root, c1, g, c2, c3) = (FrameId(0), FrameId(1), FrameId(2), FrameId(3), FrameId(4));
+        let upd = AccessKind::Update;
+        let (x1, x2, y) = (Loc(100), Loc(101), Loc(102));
+        let mut t = SpPlus::new();
+        t.begin_run();
+        t.frame_enter(root, EnterKind::Root);
+        t.frame_enter(c1, EnterKind::Spawn);
+        t.write(c1, StrandId(1), x1, upd);
+        t.write(c1, StrandId(1), x2, upd);
+        t.frame_leave(c1, EnterKind::Spawn); // c1 joins P under view 0
+        t.stolen_continuation(root, ViewId(1));
+
+        t.frame_enter(g, EnterKind::Call);
+        assert_eq!(t.current_vid(), ViewId(1));
+        t.frame_enter(c2, EnterKind::Spawn);
+        t.write(c2, StrandId(3), y, upd);
+        t.frame_leave(c2, EnterKind::Spawn); // c2 joins G's P under view 1
+        t.stolen_continuation(g, ViewId(2));
+        // Under view 2, c2's view-1 update of `y` is parallel: a race.
+        t.write(g, StrandId(4), y, upd);
+        t.frame_enter(c3, EnterKind::Spawn);
+        assert_eq!(t.current_vid(), ViewId(2));
+        t.frame_leave(c3, EnterKind::Spawn);
+        t.stolen_continuation(g, ViewId(3));
+        assert_eq!(t.current_vid(), ViewId(3));
+        t.reduce_merge(g, ViewId(2), ViewId(3));
+        t.reduce_merge(g, ViewId(1), ViewId(2));
+        t.sync(g);
+        t.frame_leave(g, EnterKind::Call);
+
+        // Back in the root's view 1: c1's view-0 update of `x1` races.
+        assert_eq!(t.current_vid(), ViewId(1));
+        t.write(root, StrandId(5), x1, upd);
+        t.reduce_merge(root, ViewId(0), ViewId(1));
+        // Under view 0 again, c1's update of `x2` shares the view.
+        assert_eq!(t.current_vid(), ViewId(0));
+        t.write(root, StrandId(6), x2, upd);
+        t.sync(root);
+        t.frame_leave(root, EnterKind::Root);
+        assert!(t.pstack.is_empty());
+        let r = t.into_report();
+        assert_eq!(
+            r.racy_locs().into_iter().collect::<Vec<_>>(),
+            [x1, y],
+            "{r}"
+        );
     }
 
     #[test]

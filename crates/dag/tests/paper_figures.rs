@@ -263,8 +263,7 @@ fn figure5_view_lifecycle() {
     let update32 = hb
         .accesses
         .iter()
-        .filter(|a| a.kind == rader_cilk::AccessKind::Update)
-        .last()
+        .rfind(|a| a.kind == rader_cilk::AccessKind::Update)
         .unwrap();
     assert!(hb.parallel(reduce_nodes[0], update32.node));
 }

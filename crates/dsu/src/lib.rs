@@ -8,7 +8,9 @@
 //! structure. The operations required are
 //!
 //! * `MakeBag` — create a new bag, either empty or containing one frame ID,
-//!   tagged with a [`BagKind`] and (for SP+) a view ID;
+//!   tagged with a [`BagKind`] and (for SP+) a view ID. A frame ID and its
+//!   singleton bag share one node ([`BagForest::make_elem_bag`]), so
+//!   placing a new frame ID costs one node and no union;
 //! * `Union` — merge one bag into another, with the *destination* bag's tag
 //!   and view ID surviving (paper, Fig. 6 caption);
 //! * `FindBag` — given a frame ID, find the bag currently containing it and
@@ -106,10 +108,11 @@ struct Node {
 
 /// A forest of bags over frame-ID elements.
 ///
-/// Elements ([`Elem`]) are created with [`BagForest::make_elem`]; bags
-/// ([`Bag`]) are created empty or singleton with [`BagForest::make_bag`] /
-/// [`BagForest::make_bag_with`]. Unions merge bags (or fold a lone element
-/// into a bag); finds return the containing bag's [`BagInfo`].
+/// Empty bags ([`Bag`]) are created with [`BagForest::make_bag`]. An
+/// element ([`Elem`]) is created together with its singleton bag by
+/// [`BagForest::make_elem_bag`]: one node is both the element and the
+/// bag's anchor. Unions merge bags; finds return the containing bag's
+/// [`BagInfo`].
 ///
 /// # Example
 ///
@@ -117,8 +120,7 @@ struct Node {
 /// use rader_dsu::{BagForest, BagKind, ViewId};
 ///
 /// let mut f = BagForest::new();
-/// let g = f.make_elem();
-/// let s = f.make_bag_with(BagKind::S, ViewId(0), g);
+/// let (g, s) = f.make_elem_bag(BagKind::S, ViewId(0));
 /// let p = f.make_bag(BagKind::P, ViewId(1));
 /// assert_eq!(f.find_info(g).kind, BagKind::S);
 /// // Union the S bag into the P bag: destination tag survives.
@@ -173,30 +175,20 @@ impl BagForest {
         id
     }
 
-    /// Create a fresh element, initially in no bag.
-    ///
-    /// Finding an element that was never inserted into a bag reports a
-    /// default `S`/`NONE` tag; algorithms insert every frame ID into a bag
-    /// at frame creation, so this case does not arise in practice.
-    pub fn make_elem(&mut self) -> Elem {
-        Elem(self.push_node(BagInfo {
-            kind: BagKind::S,
-            vid: ViewId::NONE,
-        }))
-    }
-
     /// `MakeBag(∅)`: create a new empty bag with the given tag and view ID.
     pub fn make_bag(&mut self, kind: BagKind, vid: ViewId) -> Bag {
         Bag(self.push_node(BagInfo { kind, vid }))
     }
 
-    /// `MakeBag(e)`: create a new bag containing exactly element `e`.
+    /// `MakeBag(e)` for a fresh element `e`: create `e` and the bag that
+    /// holds exactly `e`, with the given tag and view ID.
     ///
-    /// `e` must not already belong to a bag.
-    pub fn make_bag_with(&mut self, kind: BagKind, vid: ViewId, e: Elem) -> Bag {
-        let b = self.make_bag(kind, vid);
-        self.union_elem(b, e);
-        b
+    /// One node serves as both, so this costs one node and no union. Both
+    /// handles name that node, so the bag handle aliases the bag holding
+    /// `e` through every later union.
+    pub fn make_elem_bag(&mut self, kind: BagKind, vid: ViewId) -> (Elem, Bag) {
+        let id = self.push_node(BagInfo { kind, vid });
+        (Elem(id), Bag(id))
     }
 
     #[inline]
@@ -252,17 +244,6 @@ impl BagForest {
         self.link(rd, rs, info);
     }
 
-    /// Insert element `e` into bag `dst` (the bag's tag survives).
-    ///
-    /// If `e` already belongs to a bag, that whole bag is merged into `dst`;
-    /// the algorithms never rely on this, but it keeps the operation total.
-    pub fn union_elem(&mut self, dst: Bag, e: Elem) {
-        let rd = self.find_root(dst.0);
-        let re = self.find_root(e.0);
-        let info = self.nodes[rd as usize].info;
-        self.link(rd, re, info);
-    }
-
     /// `FindBag(e)`: metadata of the bag currently containing element `e`.
     pub fn find_info(&mut self, e: Elem) -> BagInfo {
         let r = self.find_root(e.0);
@@ -313,15 +294,58 @@ mod tests {
     #[test]
     fn singleton_bag_reports_its_tag() {
         let mut f = BagForest::new();
-        let e = f.make_elem();
-        let _ = f.make_bag_with(BagKind::SS, ViewId(7), e);
-        assert_eq!(
-            f.find_info(e),
-            BagInfo {
-                kind: BagKind::SS,
-                vid: ViewId(7)
-            }
-        );
+        let (e, b) = f.make_elem_bag(BagKind::SS, ViewId(7));
+        let info = BagInfo {
+            kind: BagKind::SS,
+            vid: ViewId(7),
+        };
+        assert_eq!(f.find_info(e), info);
+        assert_eq!(f.bag_info(b), info);
+        assert!(f.elem_in_bag(e, b));
+        assert_eq!(f.len(), 1, "element and bag share one node");
+    }
+
+    #[test]
+    fn elem_bag_union_is_destination_wins_both_ways() {
+        // As destination: the singleton's tag survives and the other
+        // bag's elements join it.
+        let mut f = BagForest::new();
+        let (e, s) = f.make_elem_bag(BagKind::S, ViewId(1));
+        let (e2, s2) = f.make_elem_bag(BagKind::P, ViewId(2));
+        f.union_bags(s, s2);
+        assert_eq!(f.find_info(e2).kind, BagKind::S);
+        assert_eq!(f.find_info(e2).vid, ViewId(1));
+        assert_eq!(f.find_info(e).vid, ViewId(1));
+        // As source: the destination's tag wins over the singleton's.
+        let mut f = BagForest::new();
+        let (e, s) = f.make_elem_bag(BagKind::S, ViewId(1));
+        let p = f.make_bag(BagKind::P, ViewId(2));
+        f.union_bags(p, s);
+        let info = BagInfo {
+            kind: BagKind::P,
+            vid: ViewId(2),
+        };
+        assert_eq!(f.find_info(e), info);
+        assert_eq!(f.bag_info(s), info, "the bag handle aliases the merge");
+    }
+
+    #[test]
+    fn elem_follows_its_bag_into_a_p_bag() {
+        // SP+'s frame protocol: a frame's element starts in its S bag; at
+        // return the S bag is unioned into the parent's P bag, which then
+        // takes further unions. The element must find that P bag.
+        let mut f = BagForest::new();
+        let p = f.make_bag(BagKind::P, ViewId(4));
+        let (e, s) = f.make_elem_bag(BagKind::S, ViewId(4));
+        f.union_bags(p, s);
+        let (e2, s2) = f.make_elem_bag(BagKind::S, ViewId(5));
+        f.union_bags(p, s2);
+        for x in [e, e2] {
+            assert!(f.elem_in_bag(x, p));
+            assert_eq!(f.find_info(x).kind, BagKind::P);
+            assert_eq!(f.find_info(x).vid, ViewId(4));
+        }
+        assert!(f.same_bag_elems(e, e2));
     }
 
     #[test]
@@ -353,10 +377,8 @@ mod tests {
     #[test]
     fn elements_follow_their_bag_through_unions() {
         let mut f = BagForest::new();
-        let e1 = f.make_elem();
-        let e2 = f.make_elem();
-        let s1 = f.make_bag_with(BagKind::S, ViewId(0), e1);
-        let s2 = f.make_bag_with(BagKind::S, ViewId(0), e2);
+        let (e1, s1) = f.make_elem_bag(BagKind::S, ViewId(0));
+        let (e2, s2) = f.make_elem_bag(BagKind::S, ViewId(0));
         let p = f.make_bag(BagKind::P, ViewId(3));
         f.union_bags(p, s1);
         assert_eq!(f.find_info(e1).kind, BagKind::P);
@@ -372,8 +394,7 @@ mod tests {
         // Peer-Set "F.P ∪= F.SP" then "F.SP = MakeBag(∅)": the old SP bag's
         // elements become P-kind, and a fresh SP bag starts empty.
         let mut f = BagForest::new();
-        let e = f.make_elem();
-        let sp = f.make_bag_with(BagKind::SP, ViewId::NONE, e);
+        let (e, sp) = f.make_elem_bag(BagKind::SP, ViewId::NONE);
         let p = f.make_bag(BagKind::P, ViewId::NONE);
         f.union_bags(p, sp);
         assert_eq!(f.find_info(e).kind, BagKind::P);
@@ -382,20 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn elem_in_bag_tracks_membership() {
-        let mut f = BagForest::new();
-        let e = f.make_elem();
-        let b = f.make_bag(BagKind::S, ViewId(0));
-        assert!(!f.elem_in_bag(e, b));
-        f.union_elem(b, e);
-        assert!(f.elem_in_bag(e, b));
-    }
-
-    #[test]
     fn set_bag_info_overwrites() {
         let mut f = BagForest::new();
-        let e = f.make_elem();
-        let b = f.make_bag_with(BagKind::S, ViewId(1), e);
+        let (e, b) = f.make_elem_bag(BagKind::S, ViewId(1));
         f.set_bag_info(
             b,
             BagInfo {
@@ -415,13 +425,14 @@ mod tests {
     #[test]
     fn deep_union_chain_is_flat_after_finds() {
         let mut f = BagForest::new();
-        let elems: Vec<Elem> = (0..1000).map(|_| f.make_elem()).collect();
         let root = f.make_bag(BagKind::P, ViewId(42));
         let mut prev = root;
-        for &e in &elems {
-            let b = f.make_bag_with(BagKind::S, ViewId::NONE, e);
+        let mut elems = Vec::new();
+        for _ in 0..1000 {
+            let (e, b) = f.make_elem_bag(BagKind::S, ViewId::NONE);
             f.union_bags(prev, b);
             prev = b; // aliases the merged bag
+            elems.push(e);
         }
         for &e in &elems {
             assert_eq!(f.find_info(e).vid, ViewId(42));
@@ -431,8 +442,7 @@ mod tests {
     #[test]
     fn union_same_bag_is_noop() {
         let mut f = BagForest::new();
-        let e = f.make_elem();
-        let b = f.make_bag_with(BagKind::P, ViewId(5), e);
+        let (e, b) = f.make_elem_bag(BagKind::P, ViewId(5));
         f.union_bags(b, b);
         assert_eq!(f.find_info(e).vid, ViewId(5));
     }

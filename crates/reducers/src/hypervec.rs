@@ -152,7 +152,7 @@ mod tests {
                 hv.push(cx, i);
             }
             assert_eq!(hv.len(cx), CHUNK as Word * 3 + 1);
-            assert_eq!(hv.to_vec(cx).len(), (CHUNK * 3 + 1) as usize);
+            assert_eq!(hv.to_vec(cx).len(), CHUNK * 3 + 1);
         });
     }
 }

@@ -79,8 +79,8 @@ pub fn collision_program(cx: &mut Ctx<'_>, scene: &Scene) -> Word {
     // Upload scene to the instrumented arena.
     let pos = cx.alloc(3 * n);
     for (i, p) in scene.pos.iter().enumerate() {
-        for k in 0..3 {
-            cx.write_idx(pos, 3 * i + k, p[k]);
+        for (k, &c) in p.iter().enumerate() {
+            cx.write_idx(pos, 3 * i + k, c);
         }
     }
     let off_arr = cx.alloc(ncells + 1);

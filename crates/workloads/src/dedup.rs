@@ -81,7 +81,7 @@ fn chunk_boundaries(data: &[Word]) -> Vec<(usize, usize)> {
     for (i, &w) in data.iter().enumerate() {
         h = h.wrapping_mul(31).wrapping_add(w as u64);
         let len = i + 1 - start;
-        if (len >= MIN && h % 32 == 0) || len >= MAX {
+        if (len >= MIN && h.is_multiple_of(32)) || len >= MAX {
             chunks.push((start, i + 1));
             start = i + 1;
             h = 0;
@@ -145,10 +145,10 @@ pub fn dedup_program(cx: &mut Ctx<'_>, input: &Stream) -> (Word, Word) {
     // Phase 2 (serial): dedup decisions.
     let mut table: std::collections::HashMap<Word, usize> = Default::default();
     let mut first_idx = vec![-1i64; nchunks];
-    for i in 0..nchunks {
+    for (i, first) in first_idx.iter_mut().enumerate() {
         let fp = cx.read_idx(fps, i);
         match table.get(&fp) {
-            Some(&j) => first_idx[i] = j as Word,
+            Some(&j) => *first = j as Word,
             None => {
                 table.insert(fp, i);
             }
@@ -259,8 +259,7 @@ mod tests {
         sink: &mut Vec<Vec<Word>>,
     ) -> (Word, Word) {
         // Same as dedup_program but exposes the collected records.
-        let res = dedup_program_inner(cx, input, Some(sink));
-        res
+        dedup_program_inner(cx, input, Some(sink))
     }
 
     // Expose the record stream for validation without polluting the
@@ -288,10 +287,10 @@ mod tests {
         cx.sync();
         let mut table: std::collections::HashMap<Word, usize> = Default::default();
         let mut first_idx = vec![-1i64; nchunks];
-        for i in 0..nchunks {
+        for (i, first) in first_idx.iter_mut().enumerate() {
             let fp = cx.read_idx(fps, i);
             match table.get(&fp) {
-                Some(&j) => first_idx[i] = j as Word,
+                Some(&j) => *first = j as Word,
                 None => {
                     table.insert(fp, i);
                 }

@@ -11,7 +11,7 @@
 //! like `ci.sh` branch on them.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 /// Small sweep caps shared by every invocation here: keep the spec plan
@@ -54,7 +54,7 @@ fn good_journal(tag: &str) -> (PathBuf, Vec<u8>) {
 }
 
 /// Resume from `journal` with the standard caps; returns the Output.
-fn resume_exhaustive(journal: &PathBuf, extra: &[&str]) -> Output {
+fn resume_exhaustive(journal: &Path, extra: &[&str]) -> Output {
     let mut args = vec!["exhaustive"];
     args.extend_from_slice(CAPS);
     args.extend_from_slice(&["--resume", journal.to_str().unwrap()]);

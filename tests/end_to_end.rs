@@ -145,8 +145,8 @@ fn pbfs_replay_is_report_identical_not_stream_identical() {
         replay,
         ..CoverageOptions::default()
     };
-    let replayed = coverage::exhaustive_check(&program, &opts(true));
-    let fresh = coverage::exhaustive_check(&program, &opts(false));
+    let replayed = coverage::exhaustive_check(program, &opts(true));
+    let fresh = coverage::exhaustive_check(program, &opts(false));
     assert_eq!(replayed.runs, fresh.runs);
     assert!(replayed.replayed > 0, "replay fast path never engaged");
     assert_eq!(fresh.replayed, 0);

@@ -80,7 +80,7 @@ fn interior_race_program(cx: &mut Ctx<'_>) {
 fn interior_workload() -> Workload {
     Workload {
         name: "interior",
-        run: Box::new(|cx| interior_race_program(cx)),
+        run: Box::new(interior_race_program),
     }
 }
 

@@ -89,6 +89,26 @@ for doc in target/leading-zero.json target/string-schema.json; do
     fi
 done
 
+echo "== forked sweeps: suite JSON identical at --threads 1 and 3 =="
+# Each sweep worker replays a spec from its previous spec's checkpoint;
+# with three workers the previous spec is rarely the adjacent one in plan
+# order. Timings are the only nondeterministic fields; zero them.
+zero_ns() { sed -E 's/"(wall|record|sweep|merge)_ns": [0-9]+/"\1_ns": 0/g' "$1"; }
+# The --racy suite exits 1 by design; any other status is a failure.
+for racy in "" "--racy"; do
+    expect=0
+    [ -n "$racy" ] && expect=1
+    for threads in 1 3; do
+        status=0
+        "$RADER" suite $racy --threads "$threads" --json "target/fork-t$threads.json" >/dev/null || status=$?
+        if [ "$status" -ne "$expect" ]; then
+            echo "ERROR: suite $racy --threads $threads exited $status, expected $expect" >&2
+            exit 1
+        fi
+    done
+    diff <(zero_ns target/fork-t1.json) <(zero_ns target/fork-t3.json)
+done
+
 echo "== checkpoint smoke: SIGKILL mid-sweep, resume, byte-identical report =="
 CKPT_PREFIX=target/ckpt-smoke
 REF_JSON=target/ckpt-ref.json
@@ -104,9 +124,8 @@ sleep 0.3
 kill -9 "$SWEEP_PID" 2>/dev/null || true
 wait "$SWEEP_PID" 2>/dev/null || true
 "$RADER" suite --threads 2 --resume "$CKPT_PREFIX" --json "$RES_JSON" >/dev/null
-# Timings are the only nondeterministic fields; zero them, then demand
-# byte identity with the uninterrupted reference run.
-zero_ns() { sed -E 's/"(wall|record|sweep|merge)_ns": [0-9]+/"\1_ns": 0/g' "$1"; }
+# Timings are the only nondeterministic fields; zero them (`zero_ns`
+# above), then demand byte identity with the uninterrupted reference run.
 diff <(zero_ns "$REF_JSON") <(zero_ns "$RES_JSON")
 "$RADER" json-check "$RES_JSON" >/dev/null
 rm -f "$CKPT_PREFIX".*.ckpt

@@ -76,6 +76,7 @@ enum ToolRef<'t> {
     Dyn(&'t mut dyn Tool),
 }
 
+#[derive(Clone)]
 struct FrameState {
     id: FrameId,
     kind: EnterKind,
@@ -97,15 +98,25 @@ struct ReducerState {
     views: Vec<(ViewId, Loc)>,
 }
 
-/// Serial execution context handed to programs.
-///
-/// `Ctx` provides the Cilk surface (`spawn` / `call` / `sync` / `par_for`),
-/// the instrumented memory surface (`alloc` / `read` / `write`), and the
-/// reducer surface (`new_reducer` / `reducer_update` / view access). All
-/// parallelism keywords denote *logical* parallelism; execution is serial.
-pub struct Ctx<'t> {
+impl Clone for ReducerState {
+    fn clone(&self) -> Self {
+        ReducerState {
+            monoid: self.monoid.clone(),
+            views: self.views.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.monoid.clone_from(&src.monoid);
+        self.views.clone_from(&src.views);
+    }
+}
+
+/// Everything a run carries from hook to hook except the tool and the
+/// recorder. A paused replay ([`crate::ReplayCheckpoint`]) owns one and
+/// lends it to a [`Ctx`] for each stretch of events it feeds.
+pub(crate) struct EngineState {
     mem: MemArena,
-    tool: ToolRef<'t>,
     spec: StealSpec,
     /// Cached script for `StealSpec::EveryBlock` (shared across frames).
     every_block: Option<Arc<BlockScript>>,
@@ -120,29 +131,18 @@ pub struct Ctx<'t> {
     strand: u64,
     block_seq: u64,
     stats: RunStats,
-    /// Active while [`ProgramTrace::record`] is capturing this run.
-    recorder: Option<TraceBuilder>,
 }
 
-impl<'t> Ctx<'t> {
-    fn new(spec: StealSpec, mut tool: ToolRef<'t>) -> Self {
-        // Every run entry point (run, run_tool, replay_tool, recording)
-        // constructs a Ctx, so firing `begin_run` here guarantees a tool
-        // sees it exactly once per run, before any other hook.
-        if let ToolRef::Dyn(t) = &mut tool {
-            t.begin_run();
-        }
-        let every_block = match &spec {
-            StealSpec::EveryBlock(s) => Some(Arc::new(s.clone())),
-            _ => None,
-        };
-        Ctx {
+impl Default for EngineState {
+    /// A state with no buffers: allocation-free, so a paused replay can
+    /// leave one behind while a `Ctx` borrows its own.
+    fn default() -> Self {
+        EngineState {
             mem: MemArena::new(),
-            tool,
-            spec,
-            every_block,
-            frames: Vec::with_capacity(64),
-            epochs: vec![ViewId(0)],
+            spec: StealSpec::None,
+            every_block: None,
+            frames: Vec::new(),
+            epochs: Vec::new(),
             reducers: Vec::new(),
             region: AccessKind::Oblivious,
             cur_frame: FrameId(0),
@@ -151,8 +151,143 @@ impl<'t> Ctx<'t> {
             strand: 0,
             block_seq: 0,
             stats: RunStats::default(),
+        }
+    }
+}
+
+impl EngineState {
+    fn new(spec: StealSpec) -> Self {
+        EngineState {
+            every_block: every_block_script(&spec),
+            spec,
+            frames: Vec::with_capacity(64),
+            epochs: vec![ViewId(0)],
+            ..EngineState::default()
+        }
+    }
+
+    /// Return to the start of a run under `spec`, keeping every buffer's
+    /// capacity.
+    pub(crate) fn restart(&mut self, spec: &StealSpec) {
+        self.mem.clear();
+        self.spec.clone_from(spec);
+        self.every_block = every_block_script(spec);
+        self.frames.clear();
+        self.epochs.clear();
+        self.epochs.push(ViewId(0));
+        self.reducers.clear();
+        self.region = AccessKind::Oblivious;
+        self.cur_frame = FrameId(0);
+        self.next_frame = 0;
+        self.next_view = 1;
+        self.strand = 0;
+        self.block_seq = 0;
+        self.stats = RunStats::default();
+    }
+
+    /// Go on under `spec` from here. Every open block's script becomes
+    /// `spec`'s and keeps its cursor, which is right only where the two
+    /// specs have acted alike so far: at or before their fork event
+    /// ([`ProgramTrace::fork_event`], DESIGN.md §5g).
+    pub(crate) fn respec(&mut self, spec: &StealSpec) {
+        debug_assert!(
+            !matches!(spec, StealSpec::Random { .. }),
+            "Random specs never fork"
+        );
+        self.spec.clone_from(spec);
+        self.every_block = every_block_script(spec);
+        for f in &mut self.frames {
+            if f.script.is_some() {
+                f.script.clone_from(&self.every_block);
+            }
+        }
+    }
+
+    pub(crate) fn spec(&self) -> &StealSpec {
+        &self.spec
+    }
+
+    pub(crate) fn stats(&self) -> RunStats {
+        let mut s = self.stats;
+        s.strands = self.strand + 1;
+        s.arena_words = self.mem.used() as u64;
+        s
+    }
+}
+
+impl Clone for EngineState {
+    fn clone(&self) -> Self {
+        let mut c = EngineState::default();
+        c.clone_from(self);
+        c
+    }
+
+    /// Field by field, so a pooled checkpoint reuses its buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.mem.clone_from(&src.mem);
+        self.spec.clone_from(&src.spec);
+        self.every_block.clone_from(&src.every_block);
+        self.frames.clone_from(&src.frames);
+        self.epochs.clone_from(&src.epochs);
+        self.reducers.clone_from(&src.reducers);
+        self.region = src.region;
+        self.cur_frame = src.cur_frame;
+        self.next_frame = src.next_frame;
+        self.next_view = src.next_view;
+        self.strand = src.strand;
+        self.block_seq = src.block_seq;
+        self.stats = src.stats;
+    }
+}
+
+fn every_block_script(spec: &StealSpec) -> Option<Arc<BlockScript>> {
+    match spec {
+        StealSpec::EveryBlock(s) => Some(Arc::new(s.clone())),
+        _ => None,
+    }
+}
+
+/// Serial execution context handed to programs.
+///
+/// `Ctx` provides the Cilk surface (`spawn` / `call` / `sync` / `par_for`),
+/// the instrumented memory surface (`alloc` / `read` / `write`), and the
+/// reducer surface (`new_reducer` / `reducer_update` / view access). All
+/// parallelism keywords denote *logical* parallelism; execution is serial.
+pub struct Ctx<'t> {
+    st: EngineState,
+    tool: ToolRef<'t>,
+    /// Active while [`ProgramTrace::record`] is capturing this run.
+    recorder: Option<TraceBuilder>,
+}
+
+impl<'t> Ctx<'t> {
+    fn new(spec: StealSpec, mut tool: ToolRef<'t>) -> Self {
+        // Every run entry point (run, run_tool, replay_tool, recording)
+        // constructs a Ctx, so firing `begin_run` here guarantees a tool
+        // sees it exactly once per run, before any other hook. A replay
+        // resumed from a checkpoint goes through `Ctx::resume` instead.
+        if let ToolRef::Dyn(t) = &mut tool {
+            t.begin_run();
+        }
+        Ctx {
+            st: EngineState::new(spec),
+            tool,
             recorder: None,
         }
+    }
+
+    /// Continue the run `st` with `tool` attached; no `begin_run`.
+    pub(crate) fn resume(st: EngineState, tool: &'t mut dyn Tool) -> Self {
+        Ctx {
+            st,
+            tool: ToolRef::Dyn(tool),
+            recorder: None,
+        }
+    }
+
+    /// Detach the run's state from the tool again.
+    pub(crate) fn into_state(self) -> EngineState {
+        self.st
     }
 
     /// Record a user-level event if a trace recording is active.
@@ -165,27 +300,24 @@ impl<'t> Ctx<'t> {
 
     #[inline]
     fn new_strand(&mut self) {
-        self.strand += 1;
+        self.st.strand += 1;
     }
 
     /// The strand currently executing (serial order).
     #[inline]
     pub fn current_strand(&self) -> StrandId {
-        StrandId(self.strand)
+        StrandId(self.st.strand)
     }
 
     /// The frame currently executing.
     #[inline]
     pub fn current_frame(&self) -> FrameId {
-        self.cur_frame
+        self.st.cur_frame
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> RunStats {
-        let mut s = self.stats;
-        s.strands = self.strand + 1;
-        s.arena_words = self.mem.used() as u64;
-        s
+        self.st.stats()
     }
 
     // ------------------------------------------------------------------
@@ -194,26 +326,26 @@ impl<'t> Ctx<'t> {
 
     pub(crate) fn enter_frame(&mut self, kind: EnterKind) {
         self.record(TraceEvent::FrameEnter(kind));
-        let (anc, epoch_base) = match self.frames.last_mut() {
+        let (anc, epoch_base) = match self.st.frames.last_mut() {
             Some(parent) => {
                 if kind == EnterKind::Spawn {
                     parent.ls += 1;
                     let sc = parent.anc + parent.ls;
-                    self.stats.max_sync_block = self.stats.max_sync_block.max(parent.ls);
-                    self.stats.max_spawn_count = self.stats.max_spawn_count.max(sc);
+                    self.st.stats.max_sync_block = self.st.stats.max_sync_block.max(parent.ls);
+                    self.st.stats.max_spawn_count = self.st.stats.max_spawn_count.max(sc);
                 }
-                (parent.anc + parent.ls, self.epochs.len())
+                (parent.anc + parent.ls, self.st.epochs.len())
             }
-            None => (0, self.epochs.len()),
+            None => (0, self.st.epochs.len()),
         };
-        let id = FrameId(self.next_frame);
-        self.next_frame += 1;
-        self.stats.frames += 1;
+        let id = FrameId(self.st.next_frame);
+        self.st.next_frame += 1;
+        self.st.stats.frames += 1;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.frame_enter(id, kind);
         }
         self.new_strand();
-        self.frames.push(FrameState {
+        self.st.frames.push(FrameState {
             id,
             kind,
             ls: 0,
@@ -223,22 +355,37 @@ impl<'t> Ctx<'t> {
             script_ready: false,
             cursor: 0,
         });
-        self.stats.max_frame_depth = self.stats.max_frame_depth.max(self.frames.len() as u32);
-        self.cur_frame = id;
+        self.st.stats.max_frame_depth = self
+            .st
+            .stats
+            .max_frame_depth
+            .max(self.st.frames.len() as u32);
+        self.st.cur_frame = id;
     }
 
     pub(crate) fn leave_frame(&mut self) {
-        self.record(TraceEvent::FrameLeave);
+        if let Some(rec) = self.recorder.as_mut() {
+            // A spawned child's return is its parent's continuation point,
+            // where steal specs act: note its continuation index and spawn
+            // count for `ProgramTrace::fork_event`.
+            let cont = match self.st.frames[..] {
+                [.., ref parent, ref child] if child.kind == EnterKind::Spawn => {
+                    Some((parent.ls, parent.anc + parent.ls))
+                }
+                _ => None,
+            };
+            rec.push_leave(cont);
+        }
         self.sync_internal();
-        let f = self.frames.pop().expect("leave_frame with empty stack");
+        let f = self.st.frames.pop().expect("leave_frame with empty stack");
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.frame_leave(f.id, f.kind);
         }
         self.new_strand();
-        if let Some(parent) = self.frames.last() {
-            self.cur_frame = parent.id;
+        if let Some(parent) = self.st.frames.last() {
+            self.st.cur_frame = parent.id;
         }
-        if f.kind == EnterKind::Spawn && !self.frames.is_empty() {
+        if f.kind == EnterKind::Spawn && !self.st.frames.is_empty() {
             self.continuation_point();
         }
     }
@@ -276,7 +423,7 @@ impl<'t> Ctx<'t> {
         if let Some(rec) = self.recorder.as_mut() {
             rec.push_label(label);
         }
-        let id = self.cur_frame;
+        let id = self.st.cur_frame;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.frame_label(id, label);
         }
@@ -292,10 +439,10 @@ impl<'t> Ctx<'t> {
     }
 
     fn sync_internal(&mut self) {
-        let fi = self.frames.len() - 1;
+        let fi = self.st.frames.len() - 1;
         // Execute any trailing scripted reduces for this block.
-        if let Some(script) = self.frames[fi].script.clone() {
-            let cursor = self.frames[fi].cursor;
+        if let Some(script) = self.st.frames[fi].script.clone() {
+            let cursor = self.st.frames[fi].cursor;
             for op in &script.ops()[cursor..] {
                 if matches!(op, BlockOp::Reduce) {
                     self.do_reduce(fi);
@@ -304,15 +451,15 @@ impl<'t> Ctx<'t> {
         }
         // All remaining parallel views of the block are reduced before the
         // sync strand executes (view invariant 3).
-        while self.epochs.len() > self.frames[fi].epoch_base {
+        while self.st.epochs.len() > self.st.frames[fi].epoch_base {
             self.do_reduce(fi);
         }
-        let id = self.frames[fi].id;
+        let id = self.st.frames[fi].id;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.sync(id);
         }
         self.new_strand();
-        let f = &mut self.frames[fi];
+        let f = &mut self.st.frames[fi];
         f.ls = 0;
         f.script = None;
         f.script_ready = false;
@@ -323,35 +470,35 @@ impl<'t> Ctx<'t> {
     /// continuation begins here, and the steal specification decides
     /// whether it is (simulated as) stolen.
     fn continuation_point(&mut self) {
-        if self.spec.is_none() {
+        if self.st.spec.is_none() {
             return;
         }
-        let fi = self.frames.len() - 1;
-        let f = &self.frames[fi];
-        if let StealSpec::AtSpawnCount(_) = self.spec {
-            if self.spec.steal_at_spawn_count(f.anc + f.ls) {
+        let fi = self.st.frames.len() - 1;
+        let f = &self.st.frames[fi];
+        if let StealSpec::AtSpawnCount(_) = self.st.spec {
+            if self.st.spec.steal_at_spawn_count(f.anc + f.ls) {
                 self.do_steal(fi);
             }
             return;
         }
-        if !self.frames[fi].script_ready {
-            let seq = self.block_seq;
-            self.block_seq += 1;
-            let script = match &self.spec {
-                StealSpec::EveryBlock(_) => self.every_block.clone(),
+        if !self.st.frames[fi].script_ready {
+            let seq = self.st.block_seq;
+            self.st.block_seq += 1;
+            let script = match &self.st.spec {
+                StealSpec::EveryBlock(_) => self.st.every_block.clone(),
                 other => other.block_script(seq).map(Arc::new),
             };
-            let f = &mut self.frames[fi];
+            let f = &mut self.st.frames[fi];
             f.script = script;
             f.script_ready = true;
             f.cursor = 0;
         }
-        let Some(script) = self.frames[fi].script.clone() else {
+        let Some(script) = self.st.frames[fi].script.clone() else {
             return;
         };
-        let cont_idx = self.frames[fi].ls;
+        let cont_idx = self.st.frames[fi].ls;
         let ops = script.ops();
-        let mut j = self.frames[fi].cursor;
+        let mut j = self.st.frames[fi].cursor;
         let mut reduces = 0u32;
         while j < ops.len() {
             match ops[j] {
@@ -361,7 +508,7 @@ impl<'t> Ctx<'t> {
                 }
                 BlockOp::Steal(k) => {
                     if k == cont_idx {
-                        self.frames[fi].cursor = j + 1;
+                        self.st.frames[fi].cursor = j + 1;
                         for _ in 0..reduces {
                             self.do_reduce(fi);
                         }
@@ -375,11 +522,11 @@ impl<'t> Ctx<'t> {
     }
 
     fn do_steal(&mut self, fi: usize) {
-        let vid = ViewId(self.next_view);
-        self.next_view += 1;
-        self.epochs.push(vid);
-        self.stats.steals += 1;
-        let id = self.frames[fi].id;
+        let vid = ViewId(self.st.next_view);
+        self.st.next_view += 1;
+        self.st.epochs.push(vid);
+        self.st.stats.steals += 1;
+        let id = self.st.frames[fi].id;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.stolen_continuation(id, vid);
         }
@@ -389,31 +536,31 @@ impl<'t> Ctx<'t> {
     /// Merge the topmost view epoch into the one below it, running the
     /// monoid `Reduce` for every reducer holding a view in the popped epoch.
     fn do_reduce(&mut self, fi: usize) {
-        if self.epochs.len() <= self.frames[fi].epoch_base {
+        if self.st.epochs.len() <= self.st.frames[fi].epoch_base {
             return; // nothing to merge in this frame
         }
-        let src = self.epochs.pop().expect("epoch stack underflow");
-        let dst = *self.epochs.last().expect("root epoch missing");
-        self.stats.reduce_merges += 1;
-        let id = self.frames[fi].id;
+        let src = self.st.epochs.pop().expect("epoch stack underflow");
+        let dst = *self.st.epochs.last().expect("root epoch missing");
+        self.st.stats.reduce_merges += 1;
+        let id = self.st.frames[fi].id;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.reduce_merge(id, dst, src);
         }
         self.new_strand();
-        for r in 0..self.reducers.len() {
-            let src_view = take_view(&mut self.reducers[r].views, src);
+        for r in 0..self.st.reducers.len() {
+            let src_view = take_view(&mut self.st.reducers[r].views, src);
             if let Some(sv) = src_view {
-                if let Some(dv) = find_view(&self.reducers[r].views, dst) {
-                    let m = self.reducers[r].monoid.clone();
-                    let saved = self.region;
-                    self.region = AccessKind::Reduce;
+                if let Some(dv) = find_view(&self.st.reducers[r].views, dst) {
+                    let m = self.st.reducers[r].monoid.clone();
+                    let saved = self.st.region;
+                    self.st.region = AccessKind::Reduce;
                     m.reduce(&mut ViewMem::new(self), dv, sv);
-                    self.region = saved;
+                    self.st.region = saved;
                 } else {
                     // The dominating view was never materialized: adopt the
                     // dominated view's contents wholesale (the runtime
                     // elides reduces with an absent identity operand).
-                    self.reducers[r].views.push((dst, sv));
+                    self.st.reducers[r].views.push((dst, sv));
                 }
             }
         }
@@ -427,12 +574,12 @@ impl<'t> Ctx<'t> {
     /// Allocate `n` zero-initialized words of simulated shared memory.
     #[inline]
     pub fn alloc(&mut self, n: usize) -> Loc {
-        let base = self.mem.alloc(n);
+        let base = self.st.mem.alloc(n);
         // Only user-level (view-oblivious) allocations are recorded; the
         // monoid allocations of `create_identity` / `update` / `reduce`
         // re-execute for real during replay.
         if let Some(rec) = self.recorder.as_mut() {
-            if self.region == AccessKind::Oblivious {
+            if self.st.region == AccessKind::Oblivious {
                 rec.push_alloc(base, n as u32);
             }
         }
@@ -443,30 +590,40 @@ impl<'t> Ctx<'t> {
     #[inline]
     pub fn read(&mut self, loc: Loc) -> Word {
         if let Some(rec) = self.recorder.as_mut() {
-            if self.region == AccessKind::Oblivious {
+            if self.st.region == AccessKind::Oblivious {
                 rec.push_read(loc);
             }
         }
-        self.stats.reads += 1;
+        self.st.stats.reads += 1;
         if let ToolRef::Dyn(t) = &mut self.tool {
-            t.read(self.cur_frame, StrandId(self.strand), loc, self.region);
+            t.read(
+                self.st.cur_frame,
+                StrandId(self.st.strand),
+                loc,
+                self.st.region,
+            );
         }
-        self.mem.get(loc)
+        self.st.mem.get(loc)
     }
 
     /// Instrumented write of `loc`.
     #[inline]
     pub fn write(&mut self, loc: Loc, v: Word) {
         if let Some(rec) = self.recorder.as_mut() {
-            if self.region == AccessKind::Oblivious {
+            if self.st.region == AccessKind::Oblivious {
                 rec.push_write(loc, v);
             }
         }
-        self.stats.writes += 1;
+        self.st.stats.writes += 1;
         if let ToolRef::Dyn(t) = &mut self.tool {
-            t.write(self.cur_frame, StrandId(self.strand), loc, self.region);
+            t.write(
+                self.st.cur_frame,
+                StrandId(self.st.strand),
+                loc,
+                self.st.region,
+            );
         }
-        self.mem.set(loc, v);
+        self.st.mem.set(loc, v);
     }
 
     /// `len` instrumented reads of `base, base + 1, ...`, as `len` calls
@@ -477,17 +634,17 @@ impl<'t> Ctx<'t> {
     #[inline]
     pub(crate) fn read_range(&mut self, base: Loc, len: u32) {
         debug_assert!(self.recorder.is_none(), "replay does not record");
-        self.stats.reads += u64::from(len);
+        self.st.stats.reads += u64::from(len);
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.read_range(
-                self.cur_frame,
-                StrandId(self.strand),
+                self.st.cur_frame,
+                StrandId(self.st.strand),
                 base,
                 len,
-                self.region,
+                self.st.region,
             );
         }
-        let _ = self.mem.slice(base, len as usize);
+        let _ = self.st.mem.slice(base, len as usize);
     }
 
     /// Instrumented writes of `values` to `base, base + 1, ...`; the write
@@ -496,17 +653,17 @@ impl<'t> Ctx<'t> {
     pub(crate) fn write_range(&mut self, base: Loc, values: &[Word]) {
         debug_assert!(self.recorder.is_none(), "replay does not record");
         let len = values.len() as u32;
-        self.stats.writes += u64::from(len);
+        self.st.stats.writes += u64::from(len);
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.write_range(
-                self.cur_frame,
-                StrandId(self.strand),
+                self.st.cur_frame,
+                StrandId(self.st.strand),
                 base,
                 len,
-                self.region,
+                self.st.region,
             );
         }
-        self.mem.set_slice(base, values);
+        self.st.mem.set_slice(base, values);
     }
 
     /// Read `base + i` (array convenience).
@@ -533,16 +690,16 @@ impl<'t> Ctx<'t> {
         if let Some(rec) = self.recorder.as_mut() {
             rec.push_new_reducer(monoid.clone());
         }
-        let h = ReducerId(self.reducers.len() as u32);
-        self.reducers.push(ReducerState {
+        let h = ReducerId(self.st.reducers.len() as u32);
+        self.st.reducers.push(ReducerState {
             monoid,
             views: Vec::new(),
         });
-        self.stats.reducer_reads += 1;
+        self.st.stats.reducer_reads += 1;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.reducer_read(
-                self.cur_frame,
-                StrandId(self.strand),
+                self.st.cur_frame,
+                StrandId(self.st.strand),
                 h,
                 ReducerReadKind::Create,
             );
@@ -556,14 +713,14 @@ impl<'t> Ctx<'t> {
         if let Some(rec) = self.recorder.as_mut() {
             rec.push_update(h, op);
         }
-        self.stats.updates += 1;
+        self.st.stats.updates += 1;
         let view = self.ensure_view(h);
-        let m = self.reducers[h.index()].monoid.clone();
-        let saved = self.region;
-        self.region = AccessKind::Update;
+        let m = self.st.reducers[h.index()].monoid.clone();
+        let saved = self.st.region;
+        self.st.region = AccessKind::Update;
         self.new_strand();
         m.update(&mut ViewMem::new(self), view, op);
-        self.region = saved;
+        self.st.region = saved;
         self.new_strand();
     }
 
@@ -571,11 +728,11 @@ impl<'t> Ctx<'t> {
     /// (a reducer-read; racy if performed where the peer set differs from
     /// the previous reducer-read's).
     pub fn reducer_get_view(&mut self, h: ReducerId) -> Loc {
-        self.stats.reducer_reads += 1;
+        self.st.stats.reducer_reads += 1;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.reducer_read(
-                self.cur_frame,
-                StrandId(self.strand),
+                self.st.cur_frame,
+                StrandId(self.st.strand),
                 h,
                 ReducerReadKind::Get,
             );
@@ -593,39 +750,39 @@ impl<'t> Ctx<'t> {
         if let Some(rec) = self.recorder.as_mut() {
             rec.push_set_view(h, loc);
         }
-        self.stats.reducer_reads += 1;
+        self.st.stats.reducer_reads += 1;
         if let ToolRef::Dyn(t) = &mut self.tool {
             t.reducer_read(
-                self.cur_frame,
-                StrandId(self.strand),
+                self.st.cur_frame,
+                StrandId(self.st.strand),
                 h,
                 ReducerReadKind::Set,
             );
         }
-        let epoch = *self.epochs.last().expect("root epoch missing");
-        let views = &mut self.reducers[h.index()].views;
+        let epoch = *self.st.epochs.last().expect("root epoch missing");
+        let views = &mut self.st.reducers[h.index()].views;
         take_view(views, epoch);
         views.push((epoch, loc));
     }
 
     /// The monoid registered for reducer `h`.
     pub fn reducer_monoid(&self, h: ReducerId) -> Arc<dyn ViewMonoid> {
-        self.reducers[h.index()].monoid.clone()
+        self.st.reducers[h.index()].monoid.clone()
     }
 
     fn ensure_view(&mut self, h: ReducerId) -> Loc {
-        let epoch = *self.epochs.last().expect("root epoch missing");
-        if let Some(loc) = find_view(&self.reducers[h.index()].views, epoch) {
+        let epoch = *self.st.epochs.last().expect("root epoch missing");
+        if let Some(loc) = find_view(&self.st.reducers[h.index()].views, epoch) {
             return loc;
         }
-        let m = self.reducers[h.index()].monoid.clone();
-        let saved = self.region;
-        self.region = AccessKind::CreateIdentity;
+        let m = self.st.reducers[h.index()].monoid.clone();
+        let saved = self.st.region;
+        self.st.region = AccessKind::CreateIdentity;
         self.new_strand();
         let loc = m.create_identity(&mut ViewMem::new(self));
-        self.region = saved;
+        self.st.region = saved;
         self.new_strand();
-        self.reducers[h.index()].views.push((epoch, loc));
+        self.st.reducers[h.index()].views.push((epoch, loc));
         loc
     }
 }

@@ -131,7 +131,9 @@ pub trait Tool {
     /// it here, which lets a driver reuse one tool instance — and its
     /// allocations — across many runs (the Section-7 sweep pools its
     /// SP+ state this way). Cumulative counters may survive; detection
-    /// state must not.
+    /// state must not. A run resumed from a
+    /// [`ReplayCheckpoint`](crate::ReplayCheckpoint) does not fire it: it
+    /// goes on from a copy of the tool taken mid-run.
     fn begin_run(&mut self) {}
 
     /// A frame was entered (`F` spawns or calls `G`; `frame` is `G`).

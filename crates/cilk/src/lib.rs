@@ -39,7 +39,7 @@ pub use events::{
 };
 pub use mem::{Loc, MemArena, Word};
 pub use monoid::{ViewMem, ViewMonoid};
-pub use replay::{ProgramTrace, ReplayError};
+pub use replay::{ProgramTrace, ReplayCheckpoint, ReplayError};
 pub use spec::{BlockOp, BlockScript, StealSpec};
 
 pub use rader_dsu::ViewId;

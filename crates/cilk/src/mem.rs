@@ -33,9 +33,23 @@ impl Loc {
 ///
 /// Allocations are never freed (the simulator models one program execution,
 /// so peak footprint equals total footprint); `alloc` zero-initializes.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct MemArena {
     cells: Vec<Word>,
+}
+
+impl Clone for MemArena {
+    fn clone(&self) -> Self {
+        MemArena {
+            cells: self.cells.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer (a replay checkpoint copies the arena into
+    /// the same pooled slot again and again).
+    fn clone_from(&mut self, src: &Self) {
+        self.cells.clone_from(&src.cells);
+    }
 }
 
 impl MemArena {
@@ -91,6 +105,11 @@ impl MemArena {
     #[inline]
     pub fn used(&self) -> usize {
         self.cells.len()
+    }
+
+    /// Free every allocation, keeping the buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.cells.clear();
     }
 }
 

@@ -53,14 +53,23 @@
 //! dereferences monoid-internal pointers read *out of* view memory (e.g.
 //! walking an ostream's node chain by hand) are outside the replayable
 //! class entirely; see DESIGN.md for the contract.
+//!
+//! ## Forked replays
+//!
+//! Replays under two specs of one family are identical up to
+//! [`ProgramTrace::fork_event`]. A [`ReplayCheckpoint`] is a replay
+//! paused between events; copied at the fork event (with the tool's
+//! state) and switched to the other spec, it finishes exactly as a
+//! from-scratch replay under that spec would (DESIGN.md §5g).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::engine::{Ctx, RunStats};
-use crate::events::{EnterKind, ReducerId};
+use crate::engine::{Ctx, EngineState, RunStats};
+use crate::events::{EnterKind, ReducerId, Tool};
 use crate::mem::{Loc, Word};
 use crate::monoid::ViewMonoid;
+use crate::spec::{BlockOp, BlockScript, StealSpec};
 
 /// One recorded user-level action. Memory events store *record-space*
 /// locations; replay translates them (see module docs).
@@ -194,12 +203,40 @@ pub(crate) struct TraceBuilder {
     set_views: Vec<(ReducerId, Loc)>,
     labels: Vec<&'static str>,
     monoids: Vec<Arc<dyn ViewMonoid>>,
+    first_leave_at_cont: Vec<usize>,
+    first_leave_at_spawn_count: Vec<usize>,
 }
 
 impl TraceBuilder {
     #[inline]
     pub(crate) fn push(&mut self, ev: TraceEvent) {
         self.events.push(ev);
+    }
+
+    /// A `FrameLeave`; `cont` is `(continuation index, spawn count)` of
+    /// the parent's continuation when the leaving frame was spawned.
+    #[inline]
+    pub(crate) fn push_leave(&mut self, cont: Option<(u32, u32)>) {
+        let at = self.events.len();
+        self.events.push(TraceEvent::FrameLeave);
+        let Some((k, j)) = cont else {
+            return;
+        };
+        // A block reaches continuation k only after k - 1, so the first
+        // leaves by index arrive in order. Spawn counts do not: a nested
+        // block's deeper counts can come first.
+        if k as usize > self.first_leave_at_cont.len() {
+            debug_assert_eq!(k as usize, self.first_leave_at_cont.len() + 1);
+            self.first_leave_at_cont.push(at);
+        }
+        let j = j as usize;
+        if j > self.first_leave_at_spawn_count.len() {
+            self.first_leave_at_spawn_count.resize(j, usize::MAX);
+        }
+        let slot = &mut self.first_leave_at_spawn_count[j - 1];
+        if *slot == usize::MAX {
+            *slot = at;
+        }
     }
 
     // A run grows only while it is the last event, so `run_lens` (shared
@@ -300,6 +337,8 @@ impl TraceBuilder {
             set_views: self.set_views,
             labels: self.labels,
             monoids: self.monoids,
+            first_leave_at_cont: self.first_leave_at_cont,
+            first_leave_at_spawn_count: self.first_leave_at_spawn_count,
             stats,
         }
     }
@@ -326,6 +365,12 @@ pub struct ProgramTrace {
     pub(crate) set_views: Vec<(ReducerId, Loc)>,
     pub(crate) labels: Vec<&'static str>,
     pub(crate) monoids: Vec<Arc<dyn ViewMonoid>>,
+    /// Event index of the first spawned child's `FrameLeave` whose
+    /// parent continuation has index `k`, at `k - 1`.
+    first_leave_at_cont: Vec<usize>,
+    /// As `first_leave_at_cont`, by the continuation's spawn count `j`
+    /// (`usize::MAX` for a count no continuation has).
+    first_leave_at_spawn_count: Vec<usize>,
     stats: RunStats,
 }
 
@@ -363,6 +408,69 @@ impl ProgramTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// The first event at which replays under `a` and `b` can differ:
+    /// both feed a tool the same hooks, and leave the engine in the same
+    /// state, for every event before it. `None` when the two specs are
+    /// of different families (or `Random`), which never fork; the trace
+    /// length when they act alike throughout. See DESIGN.md §5g.
+    ///
+    /// Specs act only at continuation points, the `FrameLeave` of a
+    /// spawned child. Two `EveryBlock` scripts act alike at every
+    /// continuation up to the smallest index `k` where one steals and
+    /// the other does not, or both steal after different numbers of
+    /// reduces; the fork is the first continuation with index `k`. Two
+    /// `AtSpawnCount` specs fork at the first continuation whose spawn
+    /// count is either of theirs.
+    pub fn fork_event(&self, a: &StealSpec, b: &StealSpec) -> Option<usize> {
+        let first = |table: &[usize], i: Option<u32>| {
+            i.and_then(|i| table.get(i.checked_sub(1)? as usize))
+                .copied()
+                .filter(|&at| at != usize::MAX)
+                .unwrap_or(self.events.len())
+        };
+        match (a, b) {
+            (StealSpec::EveryBlock(s), StealSpec::EveryBlock(t)) => {
+                Some(first(&self.first_leave_at_cont, first_different_act(s, t)))
+            }
+            (StealSpec::AtSpawnCount(i), StealSpec::AtSpawnCount(j)) if i == j => {
+                Some(self.events.len())
+            }
+            (StealSpec::AtSpawnCount(i), StealSpec::AtSpawnCount(j)) => {
+                let table = &self.first_leave_at_spawn_count;
+                Some(first(table, Some(*i)).min(first(table, Some(*j))))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// What a script does at each continuation it steals: `(index, reduces
+/// run just before the steal)`. At every other continuation it does
+/// nothing, and at the sync every script reduces whatever views remain.
+fn steal_acts(script: &BlockScript) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut reduces = 0;
+    script.ops().iter().filter_map(move |op| match *op {
+        BlockOp::Reduce => {
+            reduces += 1;
+            None
+        }
+        BlockOp::Steal(k) => Some((k, std::mem::take(&mut reduces))),
+    })
+}
+
+/// The smallest continuation index at which `s` and `t` act differently,
+/// or `None` if they act alike at every continuation.
+fn first_different_act(s: &BlockScript, t: &BlockScript) -> Option<u32> {
+    let (mut s, mut t) = (steal_acts(s), steal_acts(t));
+    loop {
+        match (s.next(), t.next()) {
+            (None, None) => return None,
+            (Some((k, _)), None) | (None, Some((k, _))) => return Some(k),
+            (Some(x), Some(y)) if x == y => {}
+            (Some((k, _)), Some((l, _))) => return Some(k.min(l)),
+        }
+    }
 }
 
 impl std::fmt::Debug for ProgramTrace {
@@ -377,6 +485,7 @@ impl std::fmt::Debug for ProgramTrace {
 }
 
 /// Record-space → replay-space location translation (see module docs).
+#[derive(Default)]
 struct Translator {
     /// `(record_base, len, replay_base)` per user allocation, in
     /// allocation (= ascending record-base) order. Allocations contiguous
@@ -392,13 +501,25 @@ struct Translator {
     views: BTreeMap<u32, u32>,
 }
 
+impl Clone for Translator {
+    fn clone(&self) -> Self {
+        let mut c = Translator::default();
+        c.clone_from(self);
+        c
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.allocs.clone_from(&src.allocs);
+        self.hit = src.hit;
+        self.views.clone_from(&src.views);
+    }
+}
+
 impl Translator {
-    fn new() -> Self {
-        Translator {
-            allocs: Vec::new(),
-            hit: (0, 0, 0),
-            views: BTreeMap::new(),
-        }
+    fn clear(&mut self) {
+        self.allocs.clear();
+        self.hit = (0, 0, 0);
+        self.views.clear();
     }
 
     #[inline]
@@ -502,20 +623,152 @@ fn take_values<'a>(stream: &mut &'a [Word], n: usize) -> &'a [Word] {
     head
 }
 
+/// How far a replay has read each of its trace's streams.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursors {
+    event: usize,
+    write_values: usize,
+    run_lens: usize,
+    allocs: usize,
+    updates: usize,
+    get_views: usize,
+    set_views: usize,
+    labels: usize,
+    reducers: usize,
+}
+
+/// A replay of a [`ProgramTrace`] paused between two events: the engine
+/// state without the tool, the location translator and the stream
+/// cursors. It is how a sweep shares prefixes: replay spec `a` up to its
+/// [`ProgramTrace::fork_event`] with spec `b`, copy the checkpoint (and
+/// the tool's state), and finish the copy under `b`
+/// ([`ReplayCheckpoint::resume_as`]) instead of replaying `b` from the
+/// first event. The tool is passed to each call, so whoever owns it can
+/// copy it at the same event.
+///
+/// A checkpoint belongs to the trace it was started on. After a
+/// [`ReplayError`] it cannot go on until the next
+/// [`ReplayCheckpoint::start`]. `Clone::clone_from` reuses its buffers.
+#[derive(Default)]
+pub struct ReplayCheckpoint {
+    st: EngineState,
+    xl: Translator,
+    at: Cursors,
+}
+
+impl Clone for ReplayCheckpoint {
+    fn clone(&self) -> Self {
+        let mut c = ReplayCheckpoint::default();
+        c.clone_from(self);
+        c
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.st.clone_from(&src.st);
+        self.xl.clone_from(&src.xl);
+        self.at = src.at;
+    }
+}
+
+impl ReplayCheckpoint {
+    /// An idle checkpoint; [`ReplayCheckpoint::start`] begins a replay.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Begin a replay under `spec` at the first event, keeping this
+    /// checkpoint's buffers, and fire `tool`'s
+    /// [`Tool::begin_run`]: `start` then
+    /// [`finish`](ReplayCheckpoint::finish) is
+    /// [`SerialEngine::replay_tool`](crate::SerialEngine::replay_tool).
+    pub fn start(&mut self, spec: &StealSpec, tool: &mut dyn Tool) {
+        tool.begin_run();
+        self.st.restart(spec);
+        self.xl.clear();
+        self.at = Cursors::default();
+    }
+
+    /// The index of the next event this replay feeds.
+    pub fn event(&self) -> usize {
+        self.at.event
+    }
+
+    /// Go on under `spec` instead, if that is the same replay so far: the
+    /// next event is at or before `trace.fork_event(self.spec(), spec)`.
+    /// Returns false, and changes nothing, otherwise.
+    pub fn resume_as(&mut self, trace: &ProgramTrace, spec: &StealSpec) -> bool {
+        match trace.fork_event(self.st.spec(), spec) {
+            Some(at) if self.at.event <= at => {
+                self.st.respec(spec);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Feed `tool` the events from [`event`](ReplayCheckpoint::event) up
+    /// to, not including, `stop` (clamped to the trace's end).
+    ///
+    /// # Panics
+    ///
+    /// If the replay is not running: never started, or stopped by a
+    /// [`ReplayError`].
+    pub fn advance(
+        &mut self,
+        tool: &mut dyn Tool,
+        trace: &ProgramTrace,
+        stop: usize,
+    ) -> Result<(), ReplayError> {
+        assert!(
+            self.at.event <= trace.events.len(),
+            "replay checkpoint is not running"
+        );
+        let mut cx = Ctx::resume(std::mem::take(&mut self.st), tool);
+        let result = drive_from(&mut cx, trace, &mut self.xl, &mut self.at, stop);
+        self.st = cx.into_state();
+        if result.is_err() {
+            self.at.event = usize::MAX;
+        }
+        result
+    }
+
+    /// Feed `tool` the rest of the trace; the run's statistics.
+    pub fn finish(
+        &mut self,
+        tool: &mut dyn Tool,
+        trace: &ProgramTrace,
+    ) -> Result<RunStats, ReplayError> {
+        self.advance(tool, trace, trace.events.len())?;
+        Ok(self.st.stats())
+    }
+}
+
 /// Re-feed a recorded trace to a live engine context. The context's steal
 /// specification decides which continuations are stolen and where reduces
 /// run, exactly as in a fresh execution.
 pub(crate) fn drive(cx: &mut Ctx<'_>, trace: &ProgramTrace) -> Result<(), ReplayError> {
-    let mut xl = Translator::new();
-    let mut write_values = &trace.write_values[..];
-    let mut run_lens = trace.run_lens.iter();
-    let mut allocs = trace.allocs.iter();
-    let mut updates = trace.updates.iter();
-    let mut get_views = trace.get_views.iter();
-    let mut set_views = trace.set_views.iter();
-    let mut labels = trace.labels.iter();
-    let mut next_reducer = 0usize;
-    for ev in &trace.events {
+    let (mut xl, mut at) = (Translator::default(), Cursors::default());
+    drive_from(cx, trace, &mut xl, &mut at, trace.events.len())
+}
+
+/// [`drive`] for the events `at.event..stop` only, advancing `at`.
+fn drive_from(
+    cx: &mut Ctx<'_>,
+    trace: &ProgramTrace,
+    xl: &mut Translator,
+    at: &mut Cursors,
+    stop: usize,
+) -> Result<(), ReplayError> {
+    let stop = stop.clamp(at.event, trace.events.len());
+    let mut write_values = &trace.write_values[at.write_values..];
+    let mut run_lens = trace.run_lens[at.run_lens..].iter();
+    let mut allocs = trace.allocs[at.allocs..].iter();
+    let mut updates = trace.updates[at.updates..].iter();
+    let mut get_views = trace.get_views[at.get_views..].iter();
+    let mut set_views = trace.set_views[at.set_views..].iter();
+    let mut labels = trace.labels[at.labels..].iter();
+    let mut next_reducer = at.reducers;
+    for ev in &trace.events[at.event..stop] {
         match *ev {
             TraceEvent::FrameEnter(kind) => cx.enter_frame(kind),
             TraceEvent::FrameLeave => cx.leave_frame(),
@@ -584,6 +837,17 @@ pub(crate) fn drive(cx: &mut Ctx<'_>, trace: &ProgramTrace) -> Result<(), Replay
             }
         }
     }
+    *at = Cursors {
+        event: stop,
+        write_values: trace.write_values.len() - write_values.len(),
+        run_lens: trace.run_lens.len() - run_lens.len(),
+        allocs: trace.allocs.len() - allocs.len(),
+        updates: trace.updates.len() - updates.len(),
+        get_views: trace.get_views.len() - get_views.len(),
+        set_views: trace.set_views.len() - set_views.len(),
+        labels: trace.labels.len() - labels.len(),
+        reducers: next_reducer,
+    };
     Ok(())
 }
 
@@ -749,6 +1013,234 @@ mod tests {
                 assert_eq!(reducer, ReducerId(0));
             }
             other => panic!("expected ViewDivergence, got {other:?}"),
+        }
+    }
+
+    /// Every hook a tool sees, in order.
+    #[derive(Default)]
+    struct HookLog(Vec<String>);
+
+    impl crate::Tool for HookLog {
+        fn begin_run(&mut self) {
+            self.0.push("begin".into());
+        }
+        fn frame_enter(&mut self, f: crate::FrameId, k: EnterKind) {
+            self.0.push(format!("enter {f:?} {k:?}"));
+        }
+        fn frame_leave(&mut self, f: crate::FrameId, k: EnterKind) {
+            self.0.push(format!("leave {f:?} {k:?}"));
+        }
+        fn sync(&mut self, f: crate::FrameId) {
+            self.0.push(format!("sync {f:?}"));
+        }
+        fn stolen_continuation(&mut self, f: crate::FrameId, v: crate::ViewId) {
+            self.0.push(format!("steal {f:?} {v:?}"));
+        }
+        fn reduce_merge(&mut self, f: crate::FrameId, d: crate::ViewId, s: crate::ViewId) {
+            self.0.push(format!("reduce {f:?} {d:?} {s:?}"));
+        }
+        fn read(&mut self, f: crate::FrameId, s: crate::StrandId, l: Loc, k: crate::AccessKind) {
+            self.0.push(format!("read {f:?} {s:?} {l:?} {k:?}"));
+        }
+        fn write(&mut self, f: crate::FrameId, s: crate::StrandId, l: Loc, k: crate::AccessKind) {
+            self.0.push(format!("write {f:?} {s:?} {l:?} {k:?}"));
+        }
+        fn reducer_read(
+            &mut self,
+            f: crate::FrameId,
+            s: crate::StrandId,
+            h: ReducerId,
+            k: crate::ReducerReadKind,
+        ) {
+            self.0.push(format!("rread {f:?} {s:?} {h:?} {k:?}"));
+        }
+    }
+
+    /// Nested sync blocks of up to three spawns at several spawn counts,
+    /// each child updating a reducer and scanning user memory.
+    fn nested(cx: &mut Ctx<'_>) {
+        fn tree(cx: &mut Ctx<'_>, h: ReducerId, buf: Loc, depth: u32) {
+            for i in 0..3u32 {
+                cx.spawn(move |cx| {
+                    cx.reducer_update(h, &[Word::from(depth * 3 + i)]);
+                    let v = cx.read_idx(buf, (depth + i) as usize);
+                    cx.write_idx(buf, i as usize, v + 1);
+                    if depth > 0 {
+                        tree(cx, h, buf, depth - 1);
+                    }
+                });
+            }
+            cx.sync();
+        }
+        let h = cx.new_reducer(add_monoid());
+        let buf = cx.alloc(8);
+        tree(cx, h, buf, 2);
+        let v = cx.reducer_get_view(h);
+        let total = cx.read(v);
+        cx.write(buf, total);
+    }
+
+    fn forkable_specs(max_spawn_count: u32) -> Vec<StealSpec> {
+        use BlockOp::{Reduce, Steal};
+        let mut specs: Vec<StealSpec> =
+            (1..=max_spawn_count).map(StealSpec::AtSpawnCount).collect();
+        for ops in [
+            vec![Steal(1), Steal(2), Reduce, Steal(3)],
+            vec![Steal(1), Steal(2), Steal(3)],
+            vec![Steal(1), Reduce, Steal(2), Steal(3)],
+            vec![Steal(1), Steal(2)],
+            vec![Steal(1), Steal(3)],
+            vec![Steal(2), Steal(3)],
+            vec![Steal(2), Reduce, Steal(3)],
+            vec![Steal(1)],
+            vec![Steal(2)],
+            vec![Steal(3)],
+            vec![Steal(1), Steal(2), Reduce],
+        ] {
+            specs.push(StealSpec::EveryBlock(BlockScript::new(ops)));
+        }
+        specs
+    }
+
+    /// The hooks of a replay under `spec` up to event `stop`, and the
+    /// paused replay.
+    fn replay_until(
+        trace: &ProgramTrace,
+        spec: &StealSpec,
+        stop: usize,
+    ) -> (HookLog, ReplayCheckpoint) {
+        let mut log = HookLog::default();
+        let mut ckpt = ReplayCheckpoint::new();
+        ckpt.start(spec, &mut log);
+        ckpt.advance(&mut log, trace, stop).unwrap();
+        (log, ckpt)
+    }
+
+    #[test]
+    fn hook_streams_agree_up_to_the_fork_event() {
+        let trace = ProgramTrace::record(nested);
+        let specs = forkable_specs(trace.stats().max_spawn_count);
+        let mut forks = 0;
+        for a in &specs {
+            for b in &specs {
+                let Some(at) = trace.fork_event(a, b) else {
+                    assert_ne!(
+                        std::mem::discriminant(a),
+                        std::mem::discriminant(b),
+                        "same-family specs {a:?} and {b:?} must fork"
+                    );
+                    continue;
+                };
+                let (prefix_a, ckpt_a) = replay_until(&trace, a, at);
+                let (prefix_b, _) = replay_until(&trace, b, at);
+                assert_eq!(prefix_a.0, prefix_b.0, "{a:?} / {b:?} before event {at}");
+                // The fork event is the first that tells them apart.
+                if at < trace.len() && a != b {
+                    let (next_a, _) = replay_until(&trace, a, at + 1);
+                    let (next_b, _) = replay_until(&trace, b, at + 1);
+                    assert_ne!(next_a.0, next_b.0, "{a:?} / {b:?} at event {at}");
+                }
+                // A's checkpoint finished as B is B's replay.
+                let mut fresh = HookLog::default();
+                let fresh_stats = SerialEngine::with_spec(b.clone())
+                    .replay_tool(&mut fresh, &trace)
+                    .unwrap();
+                let mut forked = prefix_a;
+                let mut ckpt = ckpt_a.clone();
+                assert!(ckpt.resume_as(&trace, b));
+                assert_eq!(ckpt.finish(&mut forked, &trace).unwrap(), fresh_stats);
+                assert_eq!(forked.0, fresh.0, "{a:?} forked as {b:?}");
+                forks += (at > 0 && at < trace.len()) as usize;
+            }
+        }
+        assert!(forks > 50, "only {forks} spec pairs forked mid-trace");
+    }
+
+    #[test]
+    fn a_checkpoint_past_the_fork_event_refuses_the_other_spec() {
+        let trace = ProgramTrace::record(nested);
+        let a = StealSpec::EveryBlock(BlockScript::steals(vec![1, 3]));
+        let b = StealSpec::EveryBlock(BlockScript::steals(vec![1, 2]));
+        let at = trace.fork_event(&a, &b).unwrap();
+        assert_eq!(trace.fork_event(&b, &a), Some(at));
+        let (_, mut ckpt) = replay_until(&trace, &a, at + 1);
+        assert!(!ckpt.resume_as(&trace, &b));
+        assert!(!ckpt.resume_as(&trace, &StealSpec::AtSpawnCount(1)));
+        // Refused, it is still A's replay.
+        let mut rest = HookLog::default();
+        ckpt.finish(&mut rest, &trace).unwrap();
+        let (mut whole, _) = replay_until(&trace, &a, at + 1);
+        whole.0.extend(rest.0);
+        let mut fresh = HookLog::default();
+        SerialEngine::with_spec(a)
+            .replay_tool(&mut fresh, &trace)
+            .unwrap();
+        assert_eq!(whole.0, fresh.0);
+        let (_, mut ckpt) = replay_until(&trace, &b, at);
+        assert!(
+            ckpt.resume_as(&trace, &b),
+            "a spec always resumes as itself"
+        );
+    }
+
+    #[test]
+    fn fork_events_follow_the_first_act_that_differs() {
+        use BlockOp::{Reduce, Steal};
+        let script = |ops: Vec<BlockOp>| BlockScript::new(ops);
+        let cases = [
+            (vec![Steal(1), Steal(2)], vec![Steal(1), Steal(3)], Some(2)),
+            (
+                vec![Steal(1), Steal(2), Reduce, Steal(3)],
+                vec![Steal(1), Steal(2), Steal(3)],
+                Some(3),
+            ),
+            (vec![Steal(2)], vec![Reduce, Steal(2)], Some(2)),
+            (vec![Steal(1)], vec![Steal(1), Steal(4)], Some(4)),
+            (vec![Steal(1), Reduce], vec![Steal(1)], None),
+            (vec![], vec![Steal(5)], Some(5)),
+        ];
+        for (s, t, want) in cases {
+            assert_eq!(
+                first_different_act(&script(s.clone()), &script(t.clone())),
+                want,
+                "{s:?} / {t:?}"
+            );
+            assert_eq!(first_different_act(&script(t), &script(s)), want);
+        }
+        let trace = ProgramTrace::record(nested);
+        let every = |ops| StealSpec::EveryBlock(script(ops));
+        // Scripts that act alike everywhere share the whole trace; the
+        // continuation index 9 never occurs in a block of three spawns.
+        assert_eq!(
+            trace.fork_event(&every(vec![Steal(1), Reduce]), &every(vec![Steal(1)])),
+            Some(trace.len())
+        );
+        assert_eq!(
+            trace.fork_event(&every(vec![Steal(9)]), &every(vec![])),
+            Some(trace.len())
+        );
+        assert_eq!(
+            trace.fork_event(&StealSpec::AtSpawnCount(2), &StealSpec::AtSpawnCount(2)),
+            Some(trace.len())
+        );
+        assert_eq!(
+            trace.fork_event(&StealSpec::AtSpawnCount(0), &StealSpec::AtSpawnCount(99)),
+            Some(trace.len())
+        );
+        let first_two = trace
+            .fork_event(&every(vec![Steal(2)]), &every(vec![]))
+            .unwrap();
+        let first_one = trace
+            .fork_event(&every(vec![Steal(1)]), &every(vec![]))
+            .unwrap();
+        assert!(first_one < first_two && first_two < trace.len());
+        assert!(matches!(trace.events[first_two], TraceEvent::FrameLeave));
+        for (a, b) in [
+            (StealSpec::None, StealSpec::AtSpawnCount(1)),
+            (StealSpec::AtSpawnCount(1), every(vec![Steal(1)])),
+            (StealSpec::None, StealSpec::None),
+        ] {
+            assert_eq!(trace.fork_event(&a, &b), None, "{a:?} / {b:?}");
         }
     }
 

@@ -39,9 +39,21 @@ pub enum BlockOp {
 }
 
 /// An ordered action script applied to a sync block.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct BlockScript {
     ops: Vec<BlockOp>,
+}
+
+impl Clone for BlockScript {
+    fn clone(&self) -> Self {
+        BlockScript {
+            ops: self.ops.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.ops.clone_from(&src.ops);
+    }
 }
 
 impl BlockScript {
@@ -84,7 +96,7 @@ impl BlockScript {
 
 /// A steal specification: fixes which continuations are stolen and when
 /// reduces execute, across the whole execution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub enum StealSpec {
     /// No continuations are stolen; no views are created.
     #[default]
@@ -106,6 +118,34 @@ pub enum StealSpec {
     /// Steal every continuation whose frame's spawn count (ancestor +
     /// local, the paper's `F.as + F.ls`) equals `j`.
     AtSpawnCount(u32),
+}
+
+impl Clone for StealSpec {
+    fn clone(&self) -> Self {
+        match self {
+            StealSpec::None => StealSpec::None,
+            StealSpec::EveryBlock(s) => StealSpec::EveryBlock(s.clone()),
+            &StealSpec::Random {
+                seed,
+                max_block,
+                steals_per_block,
+            } => StealSpec::Random {
+                seed,
+                max_block,
+                steals_per_block,
+            },
+            &StealSpec::AtSpawnCount(j) => StealSpec::AtSpawnCount(j),
+        }
+    }
+
+    /// Reuses an `EveryBlock` script's buffer (a sweep's pooled replay
+    /// state takes a new spec per run).
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (StealSpec::EveryBlock(s), StealSpec::EveryBlock(t)) => s.clone_from(t),
+            (this, src) => *this = src.clone(),
+        }
+    }
 }
 
 impl StealSpec {

@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rader_cilk::{
-    BlockOp, BlockScript, Ctx, Loc, ProgramTrace, RunStats, SerialEngine, StealSpec, ViewMem,
-    ViewMonoid, Word,
+    BlockOp, BlockScript, Ctx, Loc, ProgramTrace, ReplayCheckpoint, ReplayError, RunStats,
+    SerialEngine, StealSpec, ViewMem, ViewMonoid, Word,
 };
 
 use crate::fault::{Fault, FaultPlan};
@@ -236,32 +236,90 @@ fn plan_specs(stats: &RunStats, opts: &CoverageOptions) -> (Vec<StealSpec>, u32,
     (specs, k, m)
 }
 
-/// Run SP+ under one specification, preferring trace replay when a trace
-/// is available and falling back to re-executing the program if replay
-/// reports divergence. Returns the report and whether replay served it.
-///
-/// `tool` is a pooled detector: the engine's `begin_run` hook resets its
-/// detection state in place, so a sweep reuses one bag forest and one
-/// pair of shadow spaces across all its runs instead of allocating fresh
-/// ones per spec.
+/// A sweep worker's pooled detector state: the running replay in one
+/// slot and, in the other, a copy of it taken at the event where the next
+/// spec's schedule forks from the running one's (DESIGN.md §5g). The
+/// engine's `begin_run` hook resets the running tool in place for a
+/// from-scratch run, so a sweep reuses one bag forest and one shadow
+/// space per slot across all its runs instead of allocating fresh ones
+/// per spec.
+#[derive(Default)]
+struct Pool {
+    tool: SpPlus,
+    replay: ReplayCheckpoint,
+    fork_tool: SpPlus,
+    fork_replay: ReplayCheckpoint,
+    /// The spec index the second slot was copied for, if it holds a copy.
+    fork_for: Option<usize>,
+}
+
+impl Pool {
+    /// Make the second slot the running one if it holds spec `i`'s
+    /// checkpoint. True if it did: spec `i` then replays only the events
+    /// after the fork, and the running tool already counts the prefix's
+    /// checks.
+    fn take_fork(&mut self, i: usize, trace: &ProgramTrace, spec: &StealSpec) -> bool {
+        if self.fork_for.take() != Some(i) || !self.fork_replay.resume_as(trace, spec) {
+            return false;
+        }
+        std::mem::swap(&mut self.tool, &mut self.fork_tool);
+        std::mem::swap(&mut self.replay, &mut self.fork_replay);
+        true
+    }
+
+    /// Replay `spec` to the end: from the running slot's checkpoint when
+    /// `resumed`, else from the first event. On the way, copy the running
+    /// slot to the other at the fork event with `next`, spec index and
+    /// spec, when there is one ahead.
+    fn replay(
+        &mut self,
+        trace: &ProgramTrace,
+        spec: &StealSpec,
+        resumed: bool,
+        next: Option<(usize, &StealSpec)>,
+    ) -> Result<(), ReplayError> {
+        if !resumed {
+            self.replay.start(spec, &mut self.tool);
+        }
+        // A fork the running replay has already passed is lost: the next
+        // spec then starts from scratch.
+        let fork = next.and_then(|(n, next)| {
+            let at = trace.fork_event(spec, next)?;
+            (at > 0 && at >= self.replay.event()).then_some((n, at))
+        });
+        if let Some((n, at)) = fork {
+            self.replay.advance(&mut self.tool, trace, at)?;
+            self.fork_tool.clone_from(&self.tool);
+            self.fork_replay.clone_from(&self.replay);
+            self.fork_for = Some(n);
+        }
+        self.replay.finish(&mut self.tool, trace).map(drop)
+    }
+}
+
+/// Run SP+ under spec `i`, preferring trace replay when a trace is
+/// available and falling back to re-executing the program if replay
+/// reports divergence. Returns the report and, for a fallback, why
+/// replay refused.
 fn sweep_one(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     trace: Option<&ProgramTrace>,
     spec: &StealSpec,
-    tool: &mut SpPlus,
-) -> (RaceReport, bool) {
+    resumed: bool,
+    next: Option<(usize, &StealSpec)>,
+    pool: &mut Pool,
+) -> (RaceReport, Option<ReplayError>) {
+    let mut refused = None;
     if let Some(trace) = trace {
-        if SerialEngine::with_spec(spec.clone())
-            .replay_tool(tool, trace)
-            .is_ok()
-        {
-            return (tool.take_report(), true);
+        match pool.replay(trace, spec, resumed, next) {
+            Ok(()) => return (pool.tool.take_report(), None),
+            // Divergence: this spec's schedule makes the recorded stream
+            // unreliable (see `rader_cilk::replay`); re-execute honestly.
+            Err(e) => refused = Some(e),
         }
-        // Divergence: this spec's schedule makes the recorded stream
-        // unreliable (see `rader_cilk::replay`); re-execute honestly.
     }
-    SerialEngine::with_spec(spec.clone()).run_tool(tool, program);
-    (tool.take_report(), false)
+    SerialEngine::with_spec(spec.clone()).run_tool(&mut pool.tool, program);
+    (pool.tool.take_report(), refused)
 }
 
 /// Wall-clock cost of each phase of an exhaustive sweep, in nanoseconds.
@@ -329,6 +387,15 @@ pub struct ExhaustiveReport {
     pub quarantined: Vec<Quarantined>,
     /// Per-phase wall-clock breakdown of this sweep.
     pub timing: SweepTiming,
+    /// Why replay refused each spec that fell back to re-execution, by
+    /// spec index, in spec order. Specs a resumed checkpoint journal
+    /// served are not listed: the journal keeps only whether replay
+    /// served them. Not serialized.
+    pub fallbacks: Vec<(usize, ReplayError)>,
+    /// Specs this sweep replayed from a predecessor's checkpoint rather
+    /// than from the first event (DESIGN.md §5g). Depends on how the
+    /// threads interleaved, so it is not serialized.
+    pub forked: usize,
 }
 
 impl ExhaustiveReport {
@@ -500,29 +567,47 @@ fn minimize_panicking_spec(
     StealSpec::EveryBlock(BlockScript::new(ops))
 }
 
-/// Sweep one chunk of specs with a pooled tool, isolating per-spec
+/// A chunk swept by this process: its journal record, plus what the
+/// journal does not keep.
+struct LiveChunk {
+    record: ChunkRecord,
+    fallbacks: Vec<(usize, ReplayError)>,
+    forked: usize,
+}
+
+/// Sweep one chunk of specs with a worker's pool, isolating per-spec
 /// panics: an unwinding run (misbehaving monoid body, or an injected
 /// [`Fault::Panic`]) is caught, the spec is quarantined with its payload
-/// and a minimized reproducer, and the pooled tool is retired for a
+/// and a minimized reproducer, and the running tool is retired for a
 /// fresh one (its detection state is suspect after an unwind; its check
-/// count — deterministic even for the partial run — carries forward).
+/// count — deterministic even for the partial run — is kept). `then` is
+/// the first spec of the worker's next chunk, which the chunk's last
+/// spec forks for.
 fn sweep_chunk(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     plan: &SweepPlan,
     chunk_index: usize,
-    tool: &mut SpPlus,
+    then: Option<usize>,
+    pool: &mut Pool,
     faults: Option<&FaultPlan>,
-) -> ChunkRecord {
+) -> LiveChunk {
     let (start, end) = plan.chunks[chunk_index];
     let specs = &plan.specs;
-    let before = tool.checks;
+    let trace = plan.trace.as_ref();
+    let mut checks = 0;
     let mut outcomes = Vec::with_capacity(end - start);
+    let (mut fallbacks, mut forked) = (Vec::new(), 0);
     for (i, spec) in (start..end).zip(&specs[start..end]) {
         let fault = faults.map_or(Fault::None, |f| f.fault_for(i));
         if let Fault::Delay(d) = fault {
             std::thread::sleep(d);
         }
         let injected = matches!(fault, Fault::Panic);
+        let next = if i + 1 < end { Some(i + 1) } else { then };
+        let next = next.map(|n| (n, &specs[n]));
+        // Each spec's checks are counted from zero, or from the prefix's
+        // when it resumes from a checkpoint.
+        pool.tool.checks = 0;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if injected {
                 panic!(
@@ -530,14 +615,23 @@ fn sweep_chunk(
                     faults.map_or(0, FaultPlan::seed)
                 );
             }
-            sweep_one(program, plan.trace.as_ref(), spec, tool)
+            let resumed = trace.is_some_and(|t| pool.take_fork(i, t, spec));
+            forked += resumed as usize;
+            sweep_one(program, trace, spec, resumed, next, pool)
         }));
+        checks += pool.tool.checks;
         match result {
-            Ok((report, replayed)) => outcomes.push(SpecOutcome::Checked { report, replayed }),
+            Ok((report, refused)) => {
+                if let Some(e) = refused {
+                    fallbacks.push((i, e));
+                }
+                outcomes.push(SpecOutcome::Checked {
+                    report,
+                    replayed: refused.is_none() && trace.is_some(),
+                });
+            }
             Err(payload) => {
-                let checks = tool.checks;
-                *tool = SpPlus::new();
-                tool.checks = checks;
+                pool.tool = SpPlus::new();
                 let spec = spec.clone();
                 let minimized = minimize_panicking_spec(program, &spec, injected);
                 outcomes.push(SpecOutcome::Quarantined {
@@ -548,12 +642,16 @@ fn sweep_chunk(
             }
         }
     }
-    ChunkRecord {
-        chunk_index,
-        spec_start: start,
-        spec_end: end,
-        checks_delta: tool.checks - before,
-        outcomes,
+    LiveChunk {
+        record: ChunkRecord {
+            chunk_index,
+            spec_start: start,
+            spec_end: end,
+            checks_delta: checks,
+            outcomes,
+        },
+        fallbacks,
+        forked,
     }
 }
 
@@ -689,10 +787,12 @@ fn open_journal(
 
 /// Sweep every planned chunk the journal does not already hold, on
 /// `threads` workers that claim chunks in [`claim_order`] from one shared
-/// counter. Each completed chunk is journaled before it is kept. Workers
-/// stop claiming at the budget deadline or after any journal write error,
-/// which is returned. The chunks come back in completion order; the merge
-/// restores spec order.
+/// counter. A worker claims its next chunk before it sweeps the current
+/// one, so the current chunk's last spec knows which spec follows it and
+/// can leave it a checkpoint (§5g). Each completed chunk is journaled
+/// before it is kept. Workers stop at the budget deadline or after any
+/// journal write error, which is returned. The chunks come back in
+/// completion order; the merge restores spec order.
 fn claim_chunks(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     plan: &SweepPlan,
@@ -700,36 +800,38 @@ fn claim_chunks(
     writer: Option<JournalWriter>,
     threads: usize,
     ctl: &SweepControl,
-) -> Result<Vec<ChunkRecord>, String> {
+) -> Result<Vec<LiveChunk>, String> {
     let order = claim_order(&plan.specs, &plan.chunks, ctl.budget.is_some());
     let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
     let threads = threads.max(1).min(plan.specs.len().max(1));
     let writer = writer.map(Mutex::new);
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
+    let claim = || loop {
+        let slot = next.fetch_add(1, Ordering::Relaxed);
+        let c = *order.get(slot)?;
+        if !done.contains_key(&c) {
+            return Some(c); // else already served by the journal
+        }
+    };
     let worker = || {
-        let mut tool = SpPlus::new();
+        let mut pool = Pool::default();
         let mut local = Vec::new();
-        loop {
-            let slot = next.fetch_add(1, Ordering::Relaxed);
-            if slot >= order.len()
-                || deadline.is_some_and(|d| Instant::now() >= d)
-                || lock(&journal_err).is_some()
-            {
+        let mut cur = claim();
+        while let Some(c) = cur {
+            if deadline.is_some_and(|d| Instant::now() >= d) || lock(&journal_err).is_some() {
                 break;
             }
-            let c = order[slot];
-            if done.contains_key(&c) {
-                continue; // already served by the journal
-            }
-            let rec = sweep_chunk(program, plan, c, &mut tool, ctl.faults.as_ref());
+            cur = claim();
+            let then = cur.map(|n| plan.chunks[n].0);
+            let live = sweep_chunk(program, plan, c, then, &mut pool, ctl.faults.as_ref());
             if let Some(w) = &writer {
-                if let Err(e) = lock(w).write_chunk(&rec) {
+                if let Err(e) = lock(w).write_chunk(&live.record) {
                     *lock(&journal_err) = Some(e);
                     break;
                 }
             }
-            local.push(rec);
+            local.push(live);
         }
         local
     };
@@ -760,7 +862,7 @@ fn claim_chunks(
 fn merge_outcomes(
     plan: SweepPlan,
     done: BTreeMap<usize, ChunkRecord>,
-    live: Vec<ChunkRecord>,
+    mut live: Vec<LiveChunk>,
 ) -> ExhaustiveReport {
     let SweepPlan {
         specs,
@@ -773,7 +875,14 @@ fn merge_outcomes(
     } = plan;
     let mut slots: Vec<Option<SpecOutcome>> = (0..specs.len()).map(|_| None).collect();
     let mut checks = base_checks;
-    for rec in done.into_values().chain(live) {
+    let mut fallbacks = Vec::new();
+    let mut forked = 0;
+    for chunk in &mut live {
+        fallbacks.append(&mut chunk.fallbacks);
+        forked += chunk.forked;
+    }
+    fallbacks.sort_unstable_by_key(|&(i, _)| i);
+    for rec in done.into_values().chain(live.into_iter().map(|c| c.record)) {
         checks += rec.checks_delta;
         let start = rec.spec_start;
         for (off, outcome) in rec.outcomes.into_iter().enumerate() {
@@ -833,6 +942,8 @@ fn merge_outcomes(
         uncovered,
         quarantined,
         timing: SweepTiming::default(),
+        fallbacks,
+        forked,
     }
 }
 
@@ -1135,6 +1246,80 @@ mod tests {
             // Claims depend only on the plan, never on threads.
             assert_eq!(rep.claims, base.claims);
         }
+    }
+
+    #[test]
+    fn sweeps_fork_specs_from_their_predecessors() {
+        // racy8's consecutive specs of each family share prefixes, so the
+        // sweep must fork; an odd thread count makes workers fork from
+        // predecessors that are not adjacent in plan order. Nothing the
+        // report counts may move.
+        let base = exhaustive_check(racy8, &CoverageOptions::default());
+        assert!(base.forked > 0, "the sweep forked no spec");
+        assert!(base.forked < base.runs);
+        for threads in [2, 3] {
+            let rep = exhaustive_check_parallel(racy8, &CoverageOptions::default(), threads);
+            assert!(rep.forked > 0, "threads={threads}: no spec forked");
+            assert_eq!(rep.report, base.report, "threads={threads}");
+            assert_eq!(rep.findings, base.findings);
+            assert_eq!(
+                (rep.runs, rep.replayed, rep.spplus_checks),
+                (base.runs, base.replayed, base.spplus_checks)
+            );
+            assert_eq!(rep.to_json(), base.to_json());
+        }
+        let rerun = exhaustive_check(
+            racy8,
+            &CoverageOptions {
+                replay: false,
+                ..CoverageOptions::default()
+            },
+        );
+        assert_eq!(rerun.forked, 0, "only replays fork");
+        assert_eq!(rerun.spplus_checks, base.spplus_checks);
+    }
+
+    #[test]
+    fn fallbacks_keep_why_replay_refused() {
+        // The Figure-1 pattern: a spawned child installs a user cell as
+        // the view, and the continuation's get_value returns it only when
+        // the continuation is not stolen.
+        let program = |cx: &mut Ctx<'_>| {
+            let h = cx.new_reducer(Arc::new(SynthAdd));
+            let cell = cx.alloc(1);
+            for i in 0..3 {
+                cx.spawn(move |cx| {
+                    if i == 0 {
+                        cx.reducer_set_view(h, cell);
+                    }
+                });
+            }
+            cx.reducer_update(h, &[1]);
+            let v = cx.reducer_get_view(h);
+            let _ = cx.read(v);
+            cx.sync();
+        };
+        let rep = exhaustive_check(program, &CoverageOptions::default());
+        assert!(!rep.fallbacks.is_empty(), "no spec fell back");
+        assert_eq!(rep.fallbacks.len(), rep.runs - rep.replayed);
+        assert!(rep.fallbacks.windows(2).all(|w| w[0].0 < w[1].0));
+        for (i, e) in &rep.fallbacks {
+            assert!(*i > 0 && *i < rep.runs, "spec index {i}");
+            assert!(
+                matches!(e, ReplayError::ViewDivergence { .. }),
+                "spec {i}: {e}"
+            );
+        }
+        assert!(!rep.to_json().contains("fallback"));
+        let rerun = exhaustive_check(
+            program,
+            &CoverageOptions {
+                replay: false,
+                ..CoverageOptions::default()
+            },
+        );
+        assert!(rerun.fallbacks.is_empty(), "re-execution is not a fallback");
+        assert_eq!(rerun.report, rep.report);
     }
 
     /// Eight spawns, one schedule-independent determinacy race: K = 8,

@@ -28,8 +28,7 @@ struct Frame {
 pub struct SpBags {
     forest: BagForest,
     stack: Vec<Frame>,
-    reader: ShadowSpace,
-    writer: ShadowSpace,
+    shadow: ShadowSpace,
     report: RaceReport,
     /// Locations already in `report` (one race per location).
     racy: LocSet,
@@ -49,8 +48,7 @@ impl SpBags {
         SpBags {
             forest: BagForest::new(),
             stack: Vec::with_capacity(64),
-            reader: ShadowSpace::new(),
-            writer: ShadowSpace::new(),
+            shadow: ShadowSpace::new(),
             report: RaceReport::default(),
             racy: LocSet::new(),
             checks: 0,
@@ -80,10 +78,10 @@ impl SpBags {
         self.report.determinacy.push(DeterminacyRace {
             loc,
             prior: AccessInfo {
-                frame: prior.frame,
-                strand: prior.strand,
+                frame: prior.frame(),
+                strand: prior.strand(),
                 write: prior_write,
-                kind: prior.kind,
+                kind: prior.kind(),
             },
             current,
         });
@@ -99,48 +97,45 @@ impl SpBags {
     ) {
         self.checks += 1;
         let f = self.stack.last().expect("access with empty stack");
-        let me = ShadowEntry {
-            elem: f.elem,
-            frame,
-            strand,
-            kind,
-        };
+        let me = ShadowEntry::new(f.elem, frame, strand, kind);
         let current = AccessInfo {
             frame,
             strand,
             write,
             kind,
         };
+        self.shadow.grow_to(loc);
+        let cell = self.shadow.get(loc);
         if write {
-            if let Some(prev) = self.reader.get(loc) {
-                if self.forest.find_info(prev.elem).kind.is_p() {
+            if let Some(prev) = cell.reader {
+                if self.forest.find_info(prev.elem()).kind.is_p() {
                     self.record_race(loc, prev, false, current);
                 }
             }
-            if let Some(prev) = self.writer.get(loc) {
-                if self.forest.find_info(prev.elem).kind.is_p() {
+            if let Some(prev) = cell.writer {
+                if self.forest.find_info(prev.elem()).kind.is_p() {
                     self.record_race(loc, prev, true, current);
                 }
             }
-            let update = match self.writer.get(loc) {
+            let update = match cell.writer {
                 None => true,
-                Some(prev) => !self.forest.find_info(prev.elem).kind.is_p(),
+                Some(prev) => !self.forest.find_info(prev.elem()).kind.is_p(),
             };
             if update {
-                self.writer.set(loc, me);
+                self.shadow.cell_mut(loc).writer = Some(me);
             }
         } else {
-            if let Some(prev) = self.writer.get(loc) {
-                if self.forest.find_info(prev.elem).kind.is_p() {
+            if let Some(prev) = cell.writer {
+                if self.forest.find_info(prev.elem()).kind.is_p() {
                     self.record_race(loc, prev, true, current);
                 }
             }
-            let update = match self.reader.get(loc) {
+            let update = match cell.reader {
                 None => true,
-                Some(prev) => !self.forest.find_info(prev.elem).kind.is_p(),
+                Some(prev) => !self.forest.find_info(prev.elem()).kind.is_p(),
             };
             if update {
-                self.reader.set(loc, me);
+                self.shadow.cell_mut(loc).reader = Some(me);
             }
         }
     }

@@ -19,7 +19,7 @@
 //! invocation whose ID joins the just-merged top P bag (making the reduce
 //! strand logically parallel to the frame's later user strands but
 //! serial, via the view ID, with the strands whose views it folds). The
-//! shadow spaces keep parallel (P-bag) entries even across reduce
+//! shadow space keeps parallel (P-bag) entries even across reduce
 //! accesses: sharing a view ID does not place the previous accessor
 //! under a merged view, and when it *is* under one, the reduce's element
 //! joins its bag anyway once the region closes.
@@ -30,6 +30,7 @@ use rader_dsu::{Bag, BagForest, BagInfo, BagKind, Elem, ViewId};
 use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
 use crate::shadow::{LocSet, ShadowEntry, ShadowSpace};
 
+#[derive(Clone, Copy)]
 struct Frame {
     elem: Elem,
     s: Bag,
@@ -40,14 +41,15 @@ struct Frame {
 
 /// An in-flight `Reduce` invocation: its accesses are recorded under a
 /// fresh element that joins the merged top P bag when the reduce ends.
+#[derive(Clone, Copy)]
 struct PendingReduce {
     elem: Elem,
     sbag: Bag,
 }
 
-/// Index of the reader shadow space in [`SpPlus`]'s per-space find cache.
+/// Index of the reader entries in [`SpPlus`]'s per-half find cache.
 const READER: usize = 0;
-/// Index of the writer shadow space in [`SpPlus`]'s per-space find cache.
+/// Index of the writer entries in [`SpPlus`]'s per-half find cache.
 const WRITER: usize = 1;
 
 /// SP+ detector state; attach to a serial run (under any [`StealSpec`])
@@ -63,14 +65,14 @@ pub struct SpPlus {
     /// top entry's is the current view ID without a find. A frame's
     /// bottom entry carries its entry view ID, restored at each sync.
     pstack: Vec<(Bag, ViewId)>,
-    reader: ShadowSpace,
-    writer: ShadowSpace,
+    shadow: ShadowSpace,
     pending_reduce: Option<PendingReduce>,
     /// The last `find_info` answer for a prior accessor found in each
-    /// shadow space ([`READER`], [`WRITER`]), keyed by element. One entry
-    /// per space, because a read consults both spaces and their prior
-    /// elements usually differ. Valid until the next union: between
-    /// unions no element changes bag and no bag changes kind or view ID.
+    /// half of the shadow cells ([`READER`], [`WRITER`]), keyed by
+    /// element. One entry per half, because a read consults both halves
+    /// and their prior elements usually differ. Valid until the next
+    /// union: between unions no element changes bag and no bag changes
+    /// kind or view ID.
     /// (`make_elem_bag` only places elements it creates, which cannot be
     /// cached.)
     last_find: [Option<(Elem, BagInfo)>; 2],
@@ -91,6 +93,31 @@ impl Default for SpPlus {
     }
 }
 
+/// A copy of the detector mid-run: a sweep takes one at the event where
+/// the next spec's schedule forks from this one's (DESIGN.md §5g).
+impl Clone for SpPlus {
+    fn clone(&self) -> Self {
+        let mut c = SpPlus::new();
+        c.clone_from(self);
+        c
+    }
+
+    /// Field by field, so a pooled copy reuses its buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.forest.clone_from(&src.forest);
+        self.stack.clone_from(&src.stack);
+        self.pstack.clone_from(&src.pstack);
+        self.shadow.clone_from(&src.shadow);
+        self.pending_reduce = src.pending_reduce;
+        self.last_find = src.last_find;
+        self.report.clone_from(&src.report);
+        self.racy.clone_from(&src.racy);
+        self.checks = src.checks;
+        self.steals = src.steals;
+        self.reduces = src.reduces;
+    }
+}
+
 impl SpPlus {
     /// Fresh SP+ detector state.
     pub fn new() -> Self {
@@ -98,8 +125,7 @@ impl SpPlus {
             forest: BagForest::new(),
             stack: Vec::with_capacity(64),
             pstack: Vec::with_capacity(64),
-            reader: ShadowSpace::new(),
-            writer: ShadowSpace::new(),
+            shadow: ShadowSpace::new(),
             pending_reduce: None,
             last_find: [None; 2],
             report: RaceReport::default(),
@@ -174,10 +200,10 @@ impl SpPlus {
         self.report.determinacy.push(DeterminacyRace {
             loc,
             prior: AccessInfo {
-                frame: prior.frame,
-                strand: prior.strand,
+                frame: prior.frame(),
+                strand: prior.strand(),
                 write: prior_write,
-                kind: prior.kind,
+                kind: prior.kind(),
             },
             current,
         });
@@ -190,7 +216,7 @@ impl SpPlus {
     }
 
     /// The bag holding `prior`, the element of the last accessor recorded
-    /// in shadow space `space`, or `None` when it is the current
+    /// in half `space` of a shadow cell, or `None` when it is the current
     /// accessor's own element `me`. The own element sits in an S bag for
     /// as long as it can access memory (DESIGN.md §5f), so the prior
     /// access is serial and no find is needed.
@@ -215,7 +241,7 @@ impl SpPlus {
     }
 
     /// Race-check the current access against `prev`, the last accessor
-    /// recorded in shadow space `space`, and return the bag holding its
+    /// recorded in half `space` of a shadow cell, and return the bag holding its
     /// element (`None` if there is no prior or it is the accessor's own
     /// element). A view-aware access races only with a parallel access
     /// under a different view, so the view ID is looked up only then.
@@ -231,7 +257,7 @@ impl SpPlus {
         current: AccessInfo,
     ) -> Option<BagInfo> {
         let prev = prev?;
-        let bag = self.prior_bag(space, prev.elem, elem)?;
+        let bag = self.prior_bag(space, prev.elem(), elem)?;
         if bag.kind.is_p() && (!current.kind.is_view_aware() || bag.vid != self.current_vid()) {
             self.record_race(loc, prev, space == WRITER, current);
         }
@@ -248,6 +274,7 @@ impl SpPlus {
     ) {
         self.checks += 1;
         let (me, current) = self.accessor(frame, strand, write, kind);
+        self.shadow.grow_to(loc);
         self.check_loc(loc, me, current);
     }
 
@@ -255,7 +282,7 @@ impl SpPlus {
     /// [`SpPlus::access`] with everything that does not depend on the
     /// location hoisted out of it (DESIGN.md §5f). Only the per-location
     /// body runs per element, and it is the one `access` runs, so the
-    /// shadow spaces, the find cache, the report and `checks` end up
+    /// shadow space, the find cache, the report and `checks` end up
     /// exactly as `len` calls of `access` would leave them.
     fn access_range(
         &mut self,
@@ -271,12 +298,7 @@ impl SpPlus {
         }
         self.checks += u64::from(len);
         let (me, current) = self.accessor(frame, strand, write, kind);
-        let last = Loc(base.0 + (len - 1));
-        if write {
-            self.writer.grow_to(last);
-        } else {
-            self.reader.grow_to(last);
-        }
+        self.shadow.grow_to(Loc(base.0 + (len - 1)));
         for i in 0..len {
             self.check_loc(Loc(base.0 + i), me, current);
         }
@@ -302,12 +324,7 @@ impl SpPlus {
             self.flush_reduce();
             self.stack.last().expect("no active frame").elem
         };
-        let me = ShadowEntry {
-            elem,
-            frame,
-            strand,
-            kind,
-        };
+        let me = ShadowEntry::new(elem, frame, strand, kind);
         let current = AccessInfo {
             frame,
             strand,
@@ -317,12 +334,13 @@ impl SpPlus {
         (me, current)
     }
 
-    /// Race-check one access to `loc` by `me` and update the shadow
-    /// spaces: the per-location body shared by [`SpPlus::access`] and
+    /// Race-check one access to `loc` by `me` and update its shadow
+    /// cell: the per-location body shared by [`SpPlus::access`] and
     /// [`SpPlus::access_range`].
     #[inline(always)]
     fn check_loc(&mut self, loc: Loc, me: ShadowEntry, current: AccessInfo) {
-        let elem = me.elem;
+        let elem = me.elem();
+        let cell = self.shadow.get(loc);
         // Shadow update: replace only serial entries. A parallel (P-bag)
         // entry must survive — even against a reduce access whose view ID
         // matches it, because equal view IDs do not imply the previous
@@ -332,20 +350,19 @@ impl SpPlus {
         // merged view, the reduce's element joins its bag at the region
         // flush anyway, so keeping the old entry yields identical verdicts.
         if current.write {
-            self.check_prior(READER, self.reader.get(loc), elem, loc, current);
+            self.check_prior(READER, cell.reader, elem, loc, current);
             // One lookup and one find serve both the check and the update.
-            let bag = self.check_prior(WRITER, self.writer.get(loc), elem, loc, current);
+            let bag = self.check_prior(WRITER, cell.writer, elem, loc, current);
             if !bag.is_some_and(|b| b.kind.is_p()) {
-                self.writer.set(loc, me);
+                self.shadow.cell_mut(loc).writer = Some(me);
             }
         } else {
-            self.check_prior(WRITER, self.writer.get(loc), elem, loc, current);
-            let bag = self
+            self.check_prior(WRITER, cell.writer, elem, loc, current);
+            let bag = cell
                 .reader
-                .get(loc)
-                .and_then(|prev| self.prior_bag(READER, prev.elem, elem));
+                .and_then(|prev| self.prior_bag(READER, prev.elem(), elem));
             if !bag.is_some_and(|b| b.kind.is_p()) {
-                self.reader.set(loc, me);
+                self.shadow.cell_mut(loc).reader = Some(me);
             }
         }
     }
@@ -354,7 +371,7 @@ impl SpPlus {
 impl Tool for SpPlus {
     fn begin_run(&mut self) {
         // Reset detection state in place, keeping the forest's and the
-        // shadow spaces' capacity (a sweep re-runs the same program, so
+        // shadow space's capacity (a sweep re-runs the same program, so
         // the next run refills the same-sized structures allocation-free).
         // The public counters accumulate across runs by design: a pooled
         // sweep reads them once at the end for its totals.
@@ -362,8 +379,7 @@ impl Tool for SpPlus {
         self.last_find = [None; 2];
         self.stack.clear();
         self.pstack.clear();
-        self.reader.reset();
-        self.writer.reset();
+        self.shadow.reset();
         self.pending_reduce = None;
         self.forget_races();
         self.report = RaceReport::default();

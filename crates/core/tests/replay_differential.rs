@@ -15,9 +15,13 @@
 //! does succeed must still match exactly.
 
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
-use rader_cilk::{BlockOp, BlockScript, Ctx, ProgramTrace, RunStats, SerialEngine, StealSpec};
-use rader_core::{coverage, CoverageOptions, SpPlus};
+use rader_cilk::{
+    BlockOp, BlockScript, Ctx, ProgramTrace, ReplayCheckpoint, ReplayError, RunStats, SerialEngine,
+    StealSpec,
+};
+use rader_core::{coverage, CoverageOptions, RaceReport, SpPlus};
 use rader_rng::Rng;
+use rader_workloads::{collision, dedup, fib, fig1, Scale};
 
 /// A random `EveryBlock` script: strictly increasing steal indices with
 /// reduces sprinkled between them.
@@ -152,4 +156,101 @@ fn exhaustive_driver_replay_matches_reexecution() {
         );
         assert_eq!(via_rerun.replayed, 0, "seed {seed}");
     }
+}
+
+/// What SP+ makes of one replay: report, checks and statistics, or why
+/// replay refused.
+type Outcome = Result<(RaceReport, u64, RunStats), ReplayError>;
+
+fn from_scratch(trace: &ProgramTrace, spec: &StealSpec) -> Outcome {
+    let mut tool = SpPlus::new();
+    let stats = SerialEngine::with_spec(spec.clone()).replay_tool(&mut tool, trace)?;
+    Ok((tool.report().clone(), tool.checks, stats))
+}
+
+/// Every consecutive same-family pair of a sweep's plan for `program`:
+/// replay the first spec to the pair's fork event, copy detector and
+/// checkpoint, finish the copy under the second spec, and compare both
+/// runs with from-scratch replays. Returns (pairs forked mid-trace,
+/// pairs where a replay refused).
+fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize) {
+    let trace = ProgramTrace::record(&program);
+    let stats = trace.stats();
+    let mut plan = coverage::update_coverage_specs(stats.max_spawn_count.min(8));
+    plan.extend(coverage::reduce_coverage_specs(stats.max_sync_block.min(5)));
+    let (mut forked, mut refused) = (0, 0);
+    for pair in plan.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        let Some(at) = trace.fork_event(a, b) else {
+            continue; // different families never fork
+        };
+        let mut tool = SpPlus::new();
+        let mut ckpt = ReplayCheckpoint::new();
+        ckpt.start(a, &mut tool);
+        if let Err(e) = ckpt.advance(&mut tool, &trace, at) {
+            assert_eq!(Err(e), from_scratch(&trace, a), "{label} {a:?}");
+            refused += 1;
+            continue;
+        }
+        let (mut fork_tool, mut fork_ckpt) = (tool.clone(), ckpt.clone());
+        assert!(fork_ckpt.resume_as(&trace, b), "{label}: {a:?} -> {b:?}");
+        let forked_b = fork_ckpt
+            .finish(&mut fork_tool, &trace)
+            .map(|s| (fork_tool.report().clone(), fork_tool.checks, s));
+        assert_eq!(
+            forked_b,
+            from_scratch(&trace, b),
+            "{label}: {b:?} forked from {a:?} at event {at} of {}",
+            trace.len()
+        );
+        // Taking the copy leaves the original run as it was.
+        let rest_a = ckpt
+            .finish(&mut tool, &trace)
+            .map(|s| (tool.report().clone(), tool.checks, s));
+        assert_eq!(rest_a, from_scratch(&trace, a), "{label}: {a:?}");
+        forked += (0 < at && at < trace.len()) as usize;
+        refused += (forked_b.is_err() || rest_a.is_err()) as usize;
+    }
+    (forked, refused)
+}
+
+#[test]
+fn forked_replays_equal_from_scratch_replays() {
+    let mut forked = 0;
+    let mut refused = 0;
+    for (label, cfg) in [
+        ("plain", GenConfig::default()),
+        (
+            "aliasing",
+            GenConfig {
+                view_aliasing: true,
+                reducer_reads: false,
+                ..GenConfig::default()
+            },
+        ),
+    ] {
+        for seed in 0..40u64 {
+            let prog = gen_program(seed, &cfg);
+            let (f, r) = fork_every_pair(&format!("{label} seed {seed}"), |cx| {
+                run_synth(cx, &prog);
+            });
+            forked += f;
+            refused += r;
+        }
+    }
+    let racy = fig1::workload_racy(Scale::Small);
+    for w in [
+        collision::workload(Scale::Small),
+        dedup::workload(Scale::Small),
+        fib::workload(Scale::Small),
+        fig1::workload(Scale::Small),
+        racy,
+    ] {
+        let (f, r) = fork_every_pair(w.name, &w.run);
+        assert!(f > 0, "{}: no pair forked mid-trace", w.name);
+        forked += f;
+        refused += r;
+    }
+    assert!(forked >= 150, "only {forked} pairs forked mid-trace");
+    assert!(refused > 0, "no divergent program exercised the refusal");
 }

@@ -96,14 +96,37 @@ pub struct BagInfo {
     pub vid: ViewId,
 }
 
-#[derive(Clone)]
+/// One forest node, 12 bytes: the bag metadata is stored flat, since a
+/// nested `BagInfo` would pad the node to 16 (SP+ keeps two forests per
+/// sweep worker, DESIGN.md §5g).
+#[derive(Clone, Copy)]
 struct Node {
     /// Parent pointer; a node is a root iff `parent == self`.
     parent: u32,
+    /// Bag metadata, only meaningful at roots that anchor a bag: the
+    /// view ID and the kind tag.
+    vid: ViewId,
+    kind: BagKind,
     /// Union-by-rank rank; only meaningful at roots.
     rank: u8,
-    /// Bag metadata; only meaningful at roots that anchor a bag.
-    info: BagInfo,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 12);
+
+impl Node {
+    #[inline]
+    fn info(&self) -> BagInfo {
+        BagInfo {
+            kind: self.kind,
+            vid: self.vid,
+        }
+    }
+
+    #[inline]
+    fn set_info(&mut self, info: BagInfo) {
+        self.kind = info.kind;
+        self.vid = info.vid;
+    }
 }
 
 /// A forest of bags over frame-ID elements.
@@ -128,9 +151,22 @@ struct Node {
 /// assert_eq!(f.find_info(g).kind, BagKind::P);
 /// assert_eq!(f.find_info(g).vid, ViewId(1));
 /// ```
-#[derive(Clone)]
 pub struct BagForest {
     nodes: Vec<Node>,
+}
+
+impl Clone for BagForest {
+    fn clone(&self) -> Self {
+        BagForest {
+            nodes: self.nodes.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer (SP+ copies its forest into a pooled slot
+    /// once per forked sweep spec).
+    fn clone_from(&mut self, src: &Self) {
+        self.nodes.clone_from(&src.nodes);
+    }
 }
 
 impl BagForest {
@@ -169,8 +205,9 @@ impl BagForest {
         assert!(id != u32::MAX, "BagForest node limit exceeded");
         self.nodes.push(Node {
             parent: id,
+            vid: info.vid,
+            kind: info.kind,
             rank: 0,
-            info,
         });
         id
     }
@@ -213,7 +250,7 @@ impl BagForest {
         debug_assert_eq!(self.nodes[a as usize].parent, a);
         debug_assert_eq!(self.nodes[b as usize].parent, b);
         if a == b {
-            self.nodes[a as usize].info = info;
+            self.nodes[a as usize].set_info(info);
             return a;
         }
         let (ra, rb) = (self.nodes[a as usize].rank, self.nodes[b as usize].rank);
@@ -227,7 +264,7 @@ impl BagForest {
             }
             a
         };
-        self.nodes[root as usize].info = info;
+        self.nodes[root as usize].set_info(info);
         root
     }
 
@@ -240,20 +277,20 @@ impl BagForest {
     pub fn union_bags(&mut self, dst: Bag, src: Bag) {
         let rd = self.find_root(dst.0);
         let rs = self.find_root(src.0);
-        let info = self.nodes[rd as usize].info;
+        let info = self.nodes[rd as usize].info();
         self.link(rd, rs, info);
     }
 
     /// `FindBag(e)`: metadata of the bag currently containing element `e`.
     pub fn find_info(&mut self, e: Elem) -> BagInfo {
         let r = self.find_root(e.0);
-        self.nodes[r as usize].info
+        self.nodes[r as usize].info()
     }
 
     /// Metadata of bag `b` itself (following unions).
     pub fn bag_info(&mut self, b: Bag) -> BagInfo {
         let r = self.find_root(b.0);
-        self.nodes[r as usize].info
+        self.nodes[r as usize].info()
     }
 
     /// Overwrite the tag/view of the bag containing `b`.
@@ -262,7 +299,7 @@ impl BagForest {
     /// `F.SP` into `F.P` reuses the union path instead, but tests use this).
     pub fn set_bag_info(&mut self, b: Bag, info: BagInfo) {
         let r = self.find_root(b.0);
-        self.nodes[r as usize].info = info;
+        self.nodes[r as usize].set_info(info);
     }
 
     /// True if `e` and `f` currently belong to the same bag.

@@ -66,6 +66,14 @@ if [ "$status" -ne 2 ]; then
     exit 1
 fi
 grep -q -- '--max-k' target/rader-usage-err
+# A finite budget past Duration's range is a usage error, never a panic.
+status=0
+"$RADER" suite --budget 1e300 >/dev/null 2>target/rader-usage-err || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "ERROR: out-of-range --budget should exit 2, got $status" >&2
+    exit 1
+fi
+grep -q -- '--budget' target/rader-usage-err
 # Nesting deeper than the validator's fixed cap is invalid JSON (exit 1),
 # never a stack overflow.
 head -c 200000 /dev/zero | tr '\0' '[' >target/deep-nesting.json

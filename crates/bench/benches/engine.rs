@@ -26,7 +26,6 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
         max_k: Some(3),
         max_spawn_count: Some(6),
         replay,
-        ..CoverageOptions::default()
     };
     let sweep = |program: &(dyn Fn(&mut Ctx<'_>) + Sync), replay: bool| {
         let rep = coverage::exhaustive_check(program, &opts(replay));

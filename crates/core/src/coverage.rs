@@ -31,7 +31,7 @@ use rader_cilk::{
     SerialEngine, StealSpec, ViewMem, ViewMonoid, Word,
 };
 
-use crate::fault::{Fault, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::journal::{self, CheckpointPolicy, ChunkRecord, JournalWriter, SpecOutcome};
 use crate::report::{RaceReport, ReportMerger};
 use crate::spplus::SpPlus;
@@ -116,9 +116,9 @@ pub struct SweepControl {
     /// then pairs/singletons — so the time that *is* spent buys the
     /// broadest families.
     pub budget: Option<Duration>,
-    /// Deterministically inject faults at spec boundaries (testing the
+    /// Deterministically inject panics at spec boundaries (testing the
     /// quarantine and journaling machinery).
-    pub faults: Option<FaultPlan>,
+    pub faults: FaultPlan,
     /// Name mixed into the checkpoint fingerprint (the suite passes the
     /// workload name) so one workload's journal can never resume
     /// another's sweep.
@@ -184,10 +184,6 @@ fn claim_order(specs: &[StealSpec], chunks: &[(usize, usize)], prioritize: bool)
 /// Options for [`exhaustive_check`].
 #[derive(Clone, Copy, Debug)]
 pub struct CoverageOptions {
-    /// Run the Theorem-6 update-coverage family.
-    pub updates: bool,
-    /// Run the Theorem-7 reduce-coverage family.
-    pub reduces: bool,
     /// Cap on the sync-block size swept by the reduce family (the cubic
     /// family gets large quickly; `None` uses the measured K).
     pub max_k: Option<u32>,
@@ -205,8 +201,6 @@ pub struct CoverageOptions {
 impl Default for CoverageOptions {
     fn default() -> Self {
         CoverageOptions {
-            updates: true,
-            reduces: true,
             max_k: None,
             max_spawn_count: None,
             replay: true,
@@ -215,7 +209,7 @@ impl Default for CoverageOptions {
 }
 
 /// Build the Section-7 specification list (no-steal base case plus the
-/// enabled Theorem-6/7 families) from a run's measured statistics,
+/// Theorem-6/7 families) from a run's measured statistics,
 /// applying the option caps. Returns `(specs, k, m)`.
 fn plan_specs(stats: &RunStats, opts: &CoverageOptions) -> (Vec<StealSpec>, u32, u32) {
     let k = opts
@@ -227,12 +221,8 @@ fn plan_specs(stats: &RunStats, opts: &CoverageOptions) -> (Vec<StealSpec>, u32,
         .unwrap_or(stats.max_spawn_count)
         .min(stats.max_spawn_count);
     let mut specs = vec![StealSpec::None];
-    if opts.updates {
-        specs.extend(update_coverage_specs(m));
-    }
-    if opts.reduces {
-        specs.extend(reduce_coverage_specs(k));
-    }
+    specs.extend(update_coverage_specs(m));
+    specs.extend(reduce_coverage_specs(k));
     (specs, k, m)
 }
 
@@ -398,54 +388,6 @@ pub struct ExhaustiveReport {
     pub forked: usize,
 }
 
-impl ExhaustiveReport {
-    /// Re-run SP+ under a stored finding's specification, reproducing it.
-    pub fn reproduce(
-        program: impl Fn(&mut Ctx<'_>),
-        finding: &(StealSpec, RaceReport),
-    ) -> RaceReport {
-        let mut tool = SpPlus::new();
-        SerialEngine::with_spec(finding.0.clone()).run_tool(&mut tool, program);
-        tool.into_report()
-    }
-
-    /// Serialize the sweep summary as a JSON object. Carries the same
-    /// `schema_version` as the checkpoint journal and the suite report
-    /// ([`journal::SCHEMA_VERSION`]), so consumers can detect format
-    /// changes; fully deterministic (no timings — those live in
-    /// [`ExhaustiveReport::timing`] precisely because they are not).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let uncovered = self
-            .uncovered
-            .iter()
-            .map(|u| format!("\"{}\"", json_escape(u)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema_version\": {}, \"runs\": {}, \"replayed\": {}, \
-             \"k\": {}, \"m\": {}, \"claims\": {}, \"spplus_checks\": {}, \
-             \"findings\": {}, \"races\": {}, \"partial\": {}, \
-             \"uncovered\": [{}], \"quarantined\": {}}}",
-            journal::SCHEMA_VERSION,
-            self.runs,
-            self.replayed,
-            self.k,
-            self.m,
-            self.claims,
-            self.spplus_checks,
-            self.findings.len(),
-            self.report.determinacy.len() + self.report.view_read.len(),
-            self.partial,
-            uncovered,
-            self.quarantined.len(),
-        );
-        out
-    }
-}
-
 /// Escape a string for a JSON string literal (sweep family names, panic
 /// payloads and workload names may contain arbitrary text).
 pub fn json_escape(s: &str) -> String {
@@ -577,7 +519,7 @@ struct LiveChunk {
 
 /// Sweep one chunk of specs with a worker's pool, isolating per-spec
 /// panics: an unwinding run (misbehaving monoid body, or an injected
-/// [`Fault::Panic`]) is caught, the spec is quarantined with its payload
+/// panic) is caught, the spec is quarantined with its payload
 /// and a minimized reproducer, and the running tool is retired for a
 /// fresh one (its detection state is suspect after an unwind; its check
 /// count — deterministic even for the partial run — is kept). `then` is
@@ -589,7 +531,7 @@ fn sweep_chunk(
     chunk_index: usize,
     then: Option<usize>,
     pool: &mut Pool,
-    faults: Option<&FaultPlan>,
+    faults: &FaultPlan,
 ) -> LiveChunk {
     let (start, end) = plan.chunks[chunk_index];
     let specs = &plan.specs;
@@ -598,11 +540,7 @@ fn sweep_chunk(
     let mut outcomes = Vec::with_capacity(end - start);
     let (mut fallbacks, mut forked) = (Vec::new(), 0);
     for (i, spec) in (start..end).zip(&specs[start..end]) {
-        let fault = faults.map_or(Fault::None, |f| f.fault_for(i));
-        if let Fault::Delay(d) = fault {
-            std::thread::sleep(d);
-        }
-        let injected = matches!(fault, Fault::Panic);
+        let injected = faults.panic_at.contains(&i);
         let next = if i + 1 < end { Some(i + 1) } else { then };
         let next = next.map(|n| (n, &specs[n]));
         // Each spec's checks are counted from zero, or from the prefix's
@@ -610,10 +548,7 @@ fn sweep_chunk(
         pool.tool.checks = 0;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if injected {
-                panic!(
-                    "injected fault at spec {i} (seed {})",
-                    faults.map_or(0, FaultPlan::seed)
-                );
+                panic!("injected fault at spec {i}");
             }
             let resumed = trace.is_some_and(|t| pool.take_fork(i, t, spec));
             forked += resumed as usize;
@@ -824,7 +759,7 @@ fn claim_chunks(
             }
             cur = claim();
             let then = cur.map(|n| plan.chunks[n].0);
-            let live = sweep_chunk(program, plan, c, then, &mut pool, ctl.faults.as_ref());
+            let live = sweep_chunk(program, plan, c, then, &mut pool, &ctl.faults);
             if let Some(w) = &writer {
                 if let Err(e) = lock(w).write_chunk(&live.record) {
                     *lock(&journal_err) = Some(e);
@@ -1107,6 +1042,7 @@ pub fn count_elicited_reduce_ops(k: u32, specs: &[StealSpec]) -> (usize, usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rader;
     use rader_cilk::synth::SynthAdd;
 
     #[test]
@@ -1266,7 +1202,14 @@ mod tests {
                 (rep.runs, rep.replayed, rep.spplus_checks),
                 (base.runs, base.replayed, base.spplus_checks)
             );
-            assert_eq!(rep.to_json(), base.to_json());
+            assert_eq!(
+                (rep.k, rep.m, rep.claims, rep.partial),
+                (base.k, base.m, base.claims, base.partial)
+            );
+            assert_eq!(
+                (&rep.uncovered, &rep.quarantined),
+                (&base.uncovered, &base.quarantined)
+            );
         }
         let rerun = exhaustive_check(
             racy8,
@@ -1310,7 +1253,6 @@ mod tests {
                 "spec {i}: {e}"
             );
         }
-        assert!(!rep.to_json().contains("fallback"));
         let rerun = exhaustive_check(
             program,
             &CoverageOptions {
@@ -1405,7 +1347,9 @@ mod tests {
         let opts = CoverageOptions::default();
         let full = exhaustive_check_parallel(racy8, &opts, 2);
         let ctl = SweepControl {
-            faults: Some(FaultPlan::new(7).panic_at(5)),
+            faults: FaultPlan {
+                panic_at: [5].into(),
+            },
             ..SweepControl::default()
         };
         let rep = exhaustive_check_parallel_ctl(racy8, &opts, 2, &ctl).unwrap();
@@ -1736,7 +1680,7 @@ mod tests {
         let rep = exhaustive_check(program, &CoverageOptions::default());
         assert!(!rep.findings.is_empty());
         for finding in &rep.findings {
-            let again = ExhaustiveReport::reproduce(program, finding);
+            let again = Rader::new().check_determinacy(finding.0.clone(), program);
             assert_eq!(again.racy_locs(), finding.1.racy_locs());
         }
     }

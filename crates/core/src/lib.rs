@@ -55,7 +55,7 @@ pub use coverage::{
     exhaustive_check, exhaustive_check_parallel, exhaustive_check_parallel_ctl, minimize_spec,
     CoverageOptions, ExhaustiveReport, Quarantined, SweepControl, SweepTiming,
 };
-pub use fault::{Fault, FaultPlan};
+pub use fault::FaultPlan;
 pub use journal::{CheckpointPolicy, SCHEMA_VERSION};
 pub use peerset::PeerSet;
 pub use report::{AccessInfo, DeterminacyRace, RaceReport, ViewReadRace};

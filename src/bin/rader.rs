@@ -4,13 +4,11 @@
 //! Run `rader help` for usage. Exit codes: 0 clean, 1 races found
 //! (`suite`), 2 usage error, 141 stdout closed before the output ended.
 
-use std::time::Duration;
+use std::path::Path;
 
-use rader::cli::{self, Command, ExhaustiveOpts, SuiteOpts, SynthOpts};
-use rader::core::{
-    coverage, CheckpointPolicy, CoverageOptions, FaultPlan, Rader, SweepControl, SCHEMA_VERSION,
-};
-use rader::suite::{self, SuiteOptions};
+use rader::cli::{self, Command, SuiteOpts, SweepOpts, SynthOpts};
+use rader::core::{coverage, CoverageOptions, ExhaustiveReport, Rader, SCHEMA_VERSION};
+use rader::suite;
 use rader::workloads::{self, fig1, Scale};
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
 use rader_cilk::{BlockScript, SerialEngine, StealSpec};
@@ -89,37 +87,18 @@ fn fmt_ms(ns: u64) -> String {
     format!("{:.1}ms", ns as f64 / 1e6)
 }
 
-/// Assemble the deterministic fault plan from the CLI flags, if any.
-/// A bare `--fault-seed` with no `--fault-panic-at` yields a plan that
-/// injects nothing — harmless, and it keeps the flags orthogonal.
-fn build_faults(seed: Option<u64>, panic_at: &[usize]) -> Option<FaultPlan> {
-    if seed.is_none() && panic_at.is_empty() {
-        return None;
-    }
-    let mut plan = FaultPlan::new(seed.unwrap_or(0));
-    for &i in panic_at {
-        plan = plan.panic_at(i);
-    }
-    Some(plan)
-}
-
 /// Print the partial-coverage and quarantine sections for one verdict's
 /// worth of sweep degradations (shared by `suite` and `exhaustive`).
-fn print_degradations(
-    name: &str,
-    partial: bool,
-    uncovered: &[String],
-    quarantined: &[rader::core::Quarantined],
-) {
-    if partial {
+fn print_degradations(name: &str, sweep: &ExhaustiveReport) {
+    if sweep.partial {
         outln!("\n## {name}: partial coverage (budget deadline hit)");
-        for u in uncovered {
+        for u in &sweep.uncovered {
             outln!("  uncovered: {u}");
         }
     }
-    if !quarantined.is_empty() {
+    if !sweep.quarantined.is_empty() {
         outln!("\n## {name}: quarantined specs (worker panics isolated)");
-        for q in quarantined {
+        for q in &sweep.quarantined {
             outln!("  spec {} {:?}: {}", q.spec_index, q.spec, q.payload);
             outln!("    minimized: {:?}", q.minimized);
         }
@@ -132,18 +111,7 @@ fn cmd_suite(o: &SuiteOpts) {
     if o.racy {
         table.push(fig1::workload_racy(scale));
     }
-    let defaults = SuiteOptions::default();
-    let opts = SuiteOptions {
-        threads: o.threads.unwrap_or(defaults.threads),
-        max_k: o.max_k,
-        max_spawn_count: o.max_spawn_count,
-        replay: !o.reexecute,
-        checkpoint: o.checkpoint.clone(),
-        resume: o.resume.clone(),
-        budget: o.budget.map(Duration::from_secs_f64),
-        faults: build_faults(o.fault_seed, &o.fault_panic_at),
-    };
-    let report = match suite::run_suite(&table, &opts) {
+    let report = match suite::run_suite(&table, &o.sweep) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("rader: {e}");
@@ -167,32 +135,33 @@ fn cmd_suite(o: &SuiteOpts) {
         "merge"
     );
     for w in &report.workloads {
+        let sweep = &w.sweep;
         let mut verdict = if w.clean() {
             "clean".to_string()
         } else {
             format!("RACES ({})", w.races)
         };
-        if w.partial {
+        if sweep.partial {
             verdict.push_str(" [partial]");
         }
-        if !w.quarantined.is_empty() {
-            verdict.push_str(&format!(" [quarantined {}]", w.quarantined.len()));
+        if !sweep.quarantined.is_empty() {
+            verdict.push_str(&format!(" [quarantined {}]", sweep.quarantined.len()));
         }
         outln!(
             "{:<10} {:>8} {:>10} {:>6} {:>8} {:>6} {:>4} {:>4} {:>10} {:>11} {:>9} {:>9} {:>8}  {}",
             w.name,
             w.frames,
             w.accesses,
-            w.runs,
-            w.replayed,
-            w.claims,
-            w.k,
-            w.m,
+            sweep.runs,
+            sweep.replayed,
+            sweep.claims,
+            sweep.k,
+            sweep.m,
             w.peer_set_checks,
-            w.spplus_checks,
-            fmt_ms(w.record_ns),
-            fmt_ms(w.sweep_ns),
-            fmt_ms(w.merge_ns),
+            sweep.spplus_checks,
+            fmt_ms(sweep.timing.record_ns),
+            fmt_ms(sweep.timing.sweep_ns),
+            fmt_ms(sweep.timing.merge_ns),
             verdict
         );
     }
@@ -204,7 +173,7 @@ fn cmd_suite(o: &SuiteOpts) {
         out!("{}", w.report);
     }
     for w in &report.workloads {
-        print_degradations(&w.name, w.partial, &w.uncovered, &w.quarantined);
+        print_degradations(&w.name, &w.sweep);
     }
     if let Some(path) = &o.json {
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -254,30 +223,9 @@ fn cmd_synth(o: &SynthOpts) {
     }
 }
 
-fn cmd_exhaustive(o: &ExhaustiveOpts) {
-    // --reexecute turns off the record-once/replay-many fast path and
-    // re-runs the user program for every steal specification instead.
-    let opts = CoverageOptions {
-        replay: !o.reexecute,
-        max_k: o.max_k,
-        max_spawn_count: o.max_spawn_count,
-        ..CoverageOptions::default()
-    };
-    let threads = o.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    let ctl = SweepControl {
-        checkpoint: match (&o.resume, &o.checkpoint) {
-            (Some(path), _) => CheckpointPolicy::Resume(path.into()),
-            (None, Some(path)) => CheckpointPolicy::Record(path.into()),
-            (None, None) => CheckpointPolicy::Off,
-        },
-        budget: o.budget.map(Duration::from_secs_f64),
-        faults: build_faults(o.fault_seed, &o.fault_panic_at),
-        label: "fig1-exhaustive".to_string(),
-    };
+fn cmd_exhaustive(o: &SweepOpts) {
+    let (opts, ctl) = o.configure("fig1-exhaustive", Path::to_path_buf);
+    let threads = o.threads();
     let sweep = match coverage::exhaustive_check_parallel_ctl(
         |cx| {
             fig1::race_program(cx, 12);
@@ -319,7 +267,7 @@ fn cmd_exhaustive(o: &ExhaustiveOpts) {
         }
         out!("{report}");
     }
-    print_degradations("fig1", sweep.partial, &sweep.uncovered, &sweep.quarantined);
+    print_degradations("fig1", &sweep);
 }
 
 fn cmd_json_check(path: &str) {

@@ -7,41 +7,49 @@
 //! misconfiguration a race detector must not have (a "clean" verdict for
 //! a program you did not mean to check). Every error names the offending
 //! flag; `main` prints it and exits 2.
+//!
+//! `suite` and `exhaustive` share their sweep flags: one match arm per
+//! flag in [`SweepOpts::take_flag`], one [`SweepOpts`] value carried from
+//! argv to the sweep, and one conversion ([`SweepOpts::configure`]) into
+//! the sweep's [`CoverageOptions`] and [`SweepControl`].
 
 use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::time::Duration;
+
+use rader_core::{CheckpointPolicy, CoverageOptions, FaultPlan, SweepControl};
 
 /// Usage string shown on `rader help` and after a parse error.
 pub const USAGE: &str = "usage: rader <command> [options]
   fig1                         detect the paper's Figure-1 races
-  suite [--paper] [--racy] [--json PATH] [--threads N]
-        [--max-k N] [--max-spawn-count N] [--reexecute]
-        [--checkpoint PATH | --resume PATH] [--budget SECS]
-        [--fault-seed N] [--fault-panic-at N]
+  suite [--paper] [--racy] [--json PATH] [SWEEP OPTIONS]
                                run the benchmark table under the full
-                               Section-7 sweep; exit 1 if races found.
-                               --checkpoint journals completed chunks to
-                               PATH.<workload>.ckpt; --resume validates
-                               and continues such journals; --budget
-                               stops each sweep at the deadline with a
-                               partial (explicitly under-approximate)
-                               verdict; --fault-seed/--fault-panic-at
-                               inject deterministic worker faults
+                               Section-7 sweep; exit 1 if races found
   synth --seed N [--aliasing] [--dot]
                                generate & exhaustively check a random program
-  exhaustive [--reexecute] [--threads N] [--max-k N] [--max-spawn-count N]
-             [--checkpoint PATH | --resume PATH] [--budget SECS]
-             [--fault-seed N] [--fault-panic-at N]
-                               Section-7 sweep on Figure 1 with reproducer specs
+  exhaustive [SWEEP OPTIONS]   Section-7 sweep on Figure 1 with reproducer specs
   dot [--steals]               print the Figure-2 example dag as Graphviz
   json-check PATH              validate that PATH parses as JSON and, for
                                versioned reports, that schema_version
-                               matches this binary (CI helper)";
+                               matches this binary (CI helper)
+sweep options (suite and exhaustive):
+  --threads N                  sweep threads (default: available parallelism)
+  --max-k N                    cap the reduce family's sync-block size K
+  --max-spawn-count N          cap the update family's spawn count M
+  --reexecute                  re-execute the program for every spec instead
+                               of replaying its recorded trace
+  --checkpoint PATH            journal completed chunks to PATH (suite:
+                               PATH.<workload>.ckpt)
+  --resume PATH                validate and continue such a journal;
+                               excludes --checkpoint
+  --budget SECS                stop each sweep at the deadline with a partial
+                               (explicitly under-approximate) verdict
+  --fault-panic-at N           panic before spec N's run (repeatable), to
+                               exercise quarantine";
 
 /// A fully parsed invocation of the `rader` binary.
-///
-/// (`PartialEq` only: the `--budget` operand is an `f64`.)
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
     /// `rader fig1`
     Fig1,
@@ -50,7 +58,7 @@ pub enum Command {
     /// `rader synth ...`
     Synth(SynthOpts),
     /// `rader exhaustive ...`
-    Exhaustive(ExhaustiveOpts),
+    Exhaustive(SweepOpts),
     /// `rader dot [--steals]`
     Dot {
         /// Render the dag under a stealing schedule (Figure-5 reduce tree).
@@ -66,33 +74,16 @@ pub enum Command {
 }
 
 /// Options for `rader suite`.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SuiteOpts {
     /// Paper-scale inputs instead of test-scale.
     pub paper: bool,
     /// Append the buggy Figure-1 workload to the table.
     pub racy: bool,
-    /// Disable the record/replay fast path (re-execute per spec).
-    pub reexecute: bool,
     /// Write per-workload JSON records to this path.
     pub json: Option<String>,
-    /// Sweep threads (defaults to the machine's available parallelism).
-    pub threads: Option<usize>,
-    /// Cap on the reduce-family sync-block size `K`.
-    pub max_k: Option<u32>,
-    /// Cap on the update-family spawn count `M`.
-    pub max_spawn_count: Option<u32>,
-    /// Journal completed sweep chunks to `PATH.<workload>.ckpt`.
-    pub checkpoint: Option<String>,
-    /// Resume from (and keep appending to) `PATH.<workload>.ckpt`
-    /// journals; mutually exclusive with `--checkpoint`.
-    pub resume: Option<String>,
-    /// Per-workload sweep wall-clock budget in seconds.
-    pub budget: Option<f64>,
-    /// Seed for the deterministic fault-injection plan.
-    pub fault_seed: Option<u64>,
-    /// Spec indices whose sweep runs are forced to panic (repeatable).
-    pub fault_panic_at: Vec<usize>,
+    /// Settings of each workload's sweep.
+    pub sweep: SweepOpts,
 }
 
 /// Options for `rader synth`.
@@ -106,28 +97,108 @@ pub struct SynthOpts {
     pub dot: bool,
 }
 
-/// Options for `rader exhaustive`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExhaustiveOpts {
-    /// Disable the record/replay fast path.
-    pub reexecute: bool,
-    /// Sweep threads (defaults to the machine's available parallelism).
+/// The sweep settings `rader suite` and `rader exhaustive` share.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SweepOpts {
+    /// Sweep threads (`None`: the machine's available parallelism).
     pub threads: Option<usize>,
     /// Cap on the reduce-family sync-block size `K`.
     pub max_k: Option<u32>,
     /// Cap on the update-family spawn count `M`.
     pub max_spawn_count: Option<u32>,
-    /// Journal completed sweep chunks to this file.
-    pub checkpoint: Option<String>,
-    /// Resume from (and keep appending to) this journal file; mutually
-    /// exclusive with `--checkpoint`.
-    pub resume: Option<String>,
-    /// Sweep wall-clock budget in seconds.
-    pub budget: Option<f64>,
-    /// Seed for the deterministic fault-injection plan.
-    pub fault_seed: Option<u64>,
-    /// Spec indices whose sweep runs are forced to panic (repeatable).
-    pub fault_panic_at: Vec<usize>,
+    /// Disable the record/replay fast path (re-execute per spec).
+    pub reexecute: bool,
+    /// `--checkpoint PATH` records a journal, `--resume PATH` continues
+    /// one. For the suite, PATH is a prefix: each workload journals to
+    /// `PATH.<workload>.ckpt`.
+    pub journal: CheckpointPolicy,
+    /// Wall-clock budget of each sweep.
+    pub budget: Option<Duration>,
+    /// Spec indices whose sweep runs are forced to panic.
+    pub faults: FaultPlan,
+}
+
+impl SweepOpts {
+    /// Parse the sweep flag at `args[*i]`, advancing the cursor past its
+    /// operand. Any other argument is an error naming it as unknown to
+    /// `rader {cmd}`.
+    fn take_flag(&mut self, args: &[String], i: &mut usize, cmd: &str) -> Result<(), String> {
+        match args[*i].as_str() {
+            "--threads" => self.threads = Some(take_positive(args, i, "--threads")?),
+            "--max-k" => self.max_k = Some(take_positive(args, i, "--max-k")?),
+            "--max-spawn-count" => {
+                self.max_spawn_count = Some(take_positive(args, i, "--max-spawn-count")?)
+            }
+            "--reexecute" => self.reexecute = true,
+            "--checkpoint" => {
+                let path = take_path(args, i, "--checkpoint")?;
+                self.set_journal(CheckpointPolicy::Record(path.into()))?
+            }
+            "--resume" => {
+                let path = take_path(args, i, "--resume")?;
+                self.set_journal(CheckpointPolicy::Resume(path.into()))?
+            }
+            "--budget" => self.budget = Some(take_budget(args, i)?),
+            "--fault-panic-at" => {
+                let index = take_number(args, i, "--fault-panic-at")?;
+                self.faults.panic_at.insert(index);
+            }
+            other => return Err(format!("unknown argument {other:?} for `rader {cmd}`")),
+        }
+        Ok(())
+    }
+
+    /// `--checkpoint` and `--resume` are mutually exclusive (a resumed
+    /// sweep already appends new checkpoints to the journal it
+    /// continues); a repeated flag keeps its last path.
+    fn set_journal(&mut self, journal: CheckpointPolicy) -> Result<(), String> {
+        use CheckpointPolicy::{Record, Resume};
+        if let (Record(_), Resume(_)) | (Resume(_), Record(_)) = (&self.journal, &journal) {
+            return Err(
+                "--checkpoint and --resume are mutually exclusive (resume already \
+                 appends new checkpoints to the journal it continues)"
+                    .to_string(),
+            );
+        }
+        self.journal = journal;
+        Ok(())
+    }
+
+    /// Worker threads for the sweep.
+    pub fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    }
+
+    /// The coverage plan and controls of one sweep. `label` is mixed into
+    /// the journal fingerprint; `journal` maps the `--checkpoint` or
+    /// `--resume` path to this sweep's journal file.
+    pub fn configure(
+        &self,
+        label: &str,
+        journal: impl FnOnce(&Path) -> PathBuf,
+    ) -> (CoverageOptions, SweepControl) {
+        let coverage = CoverageOptions {
+            max_k: self.max_k,
+            max_spawn_count: self.max_spawn_count,
+            replay: !self.reexecute,
+        };
+        let checkpoint = match &self.journal {
+            CheckpointPolicy::Off => CheckpointPolicy::Off,
+            CheckpointPolicy::Record(path) => CheckpointPolicy::Record(journal(path)),
+            CheckpointPolicy::Resume(path) => CheckpointPolicy::Resume(journal(path)),
+        };
+        let control = SweepControl {
+            checkpoint,
+            budget: self.budget,
+            faults: self.faults.clone(),
+            label: label.to_string(),
+        };
+        (coverage, control)
+    }
 }
 
 /// Parse a `--flag value` numeric operand at `args[*i + 1]`, advancing
@@ -167,34 +238,15 @@ fn take_path(args: &[String], i: &mut usize, flag: &str) -> Result<String, Strin
         .ok_or_else(|| format!("{flag} requires a file path"))
 }
 
-/// Parse `--budget SECS`: a finite, non-negative float. (Zero is legal —
-/// it stops the sweep right after the record pass, which is how tests
-/// pin the fully-partial report.) `f64::from_str` accepts "NaN" and
-/// "inf", so those are rejected here, not by the number parser.
-fn take_budget(args: &[String], i: &mut usize) -> Result<f64, String> {
+/// Parse `--budget SECS`: a non-negative number of seconds that a
+/// [`Duration`] holds. (Zero is legal — it stops the sweep right after
+/// the record pass, which is how tests pin the fully-partial report.)
+/// `f64::from_str` accepts "NaN", "inf" and "1e300"; the conversion
+/// rejects them here, naming the flag, instead of panicking later.
+fn take_budget(args: &[String], i: &mut usize) -> Result<Duration, String> {
     let secs: f64 = take_number(args, i, "--budget")?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(format!(
-            "--budget must be a finite number of seconds >= 0, got {secs}"
-        ));
-    }
-    Ok(secs)
-}
-
-/// `--checkpoint` and `--resume` are mutually exclusive (a resumed sweep
-/// already appends new checkpoints to the same journal).
-fn reject_checkpoint_resume(
-    checkpoint: &Option<String>,
-    resume: &Option<String>,
-) -> Result<(), String> {
-    if checkpoint.is_some() && resume.is_some() {
-        return Err(
-            "--checkpoint and --resume are mutually exclusive (resume already \
-             appends new checkpoints to the journal it continues)"
-                .to_string(),
-        );
-    }
-    Ok(())
+    Duration::try_from_secs_f64(secs)
+        .map_err(|e| format!("--budget value {:?} is out of range: {e}", args[*i]))
 }
 
 fn parse_suite(args: &[String]) -> Result<SuiteOpts, String> {
@@ -204,26 +256,11 @@ fn parse_suite(args: &[String]) -> Result<SuiteOpts, String> {
         match args[i].as_str() {
             "--paper" => o.paper = true,
             "--racy" => o.racy = true,
-            "--reexecute" => o.reexecute = true,
             "--json" => o.json = Some(take_path(args, &mut i, "--json")?),
-            "--threads" => o.threads = Some(take_positive(args, &mut i, "--threads")?),
-            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")?),
-            "--max-spawn-count" => {
-                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")?)
-            }
-            "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
-            "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
-            "--budget" => o.budget = Some(take_budget(args, &mut i)?),
-            "--fault-seed" => o.fault_seed = Some(take_number(args, &mut i, "--fault-seed")?),
-            "--fault-panic-at" => {
-                o.fault_panic_at
-                    .push(take_number(args, &mut i, "--fault-panic-at")?)
-            }
-            other => return Err(format!("unknown argument {other:?} for `rader suite`")),
+            _ => o.sweep.take_flag(args, &mut i, "suite")?,
         }
         i += 1;
     }
-    reject_checkpoint_resume(&o.checkpoint, &o.resume)?;
     Ok(o)
 }
 
@@ -242,30 +279,13 @@ fn parse_synth(args: &[String]) -> Result<SynthOpts, String> {
     Ok(o)
 }
 
-fn parse_exhaustive(args: &[String]) -> Result<ExhaustiveOpts, String> {
-    let mut o = ExhaustiveOpts::default();
+fn parse_exhaustive(args: &[String]) -> Result<SweepOpts, String> {
+    let mut o = SweepOpts::default();
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--reexecute" => o.reexecute = true,
-            "--threads" => o.threads = Some(take_positive(args, &mut i, "--threads")?),
-            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")?),
-            "--max-spawn-count" => {
-                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")?)
-            }
-            "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
-            "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
-            "--budget" => o.budget = Some(take_budget(args, &mut i)?),
-            "--fault-seed" => o.fault_seed = Some(take_number(args, &mut i, "--fault-seed")?),
-            "--fault-panic-at" => {
-                o.fault_panic_at
-                    .push(take_number(args, &mut i, "--fault-panic-at")?)
-            }
-            other => return Err(format!("unknown argument {other:?} for `rader exhaustive`")),
-        }
+        o.take_flag(args, &mut i, "exhaustive")?;
         i += 1;
     }
-    reject_checkpoint_resume(&o.checkpoint, &o.resume)?;
     Ok(o)
 }
 
@@ -310,6 +330,15 @@ mod tests {
         parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
+    /// The sweep settings `rader <cmd> <args>` parses to.
+    fn sweep_of(cmd: &str, args: &[&str]) -> Result<SweepOpts, String> {
+        match parse_strs(&[&[cmd], args].concat())? {
+            Command::Suite(o) => Ok(o.sweep),
+            Command::Exhaustive(o) => Ok(o),
+            other => panic!("{cmd} parsed to {other:?}"),
+        }
+    }
+
     #[test]
     fn well_formed_commands_parse() {
         assert_eq!(parse_strs(&[]), Ok(Command::Help));
@@ -337,9 +366,80 @@ mod tests {
             panic!("suite did not parse");
         };
         assert_eq!(o.json.as_deref(), Some("out.json"));
-        assert_eq!(o.threads, Some(4));
-        assert_eq!(o.max_k, Some(6));
+        assert_eq!(o.sweep.threads, Some(4));
+        assert_eq!(o.sweep.max_k, Some(6));
         assert!(o.racy && !o.paper);
+    }
+
+    #[test]
+    fn sweep_flags_parse_alike_under_suite_and_exhaustive() {
+        let want = |f: fn(&mut SweepOpts)| {
+            let mut o = SweepOpts::default();
+            f(&mut o);
+            o
+        };
+        let good: [(&[&str], SweepOpts); 9] = [
+            (&["--threads", "4"], want(|o| o.threads = Some(4))),
+            (&["--max-k", "6"], want(|o| o.max_k = Some(6))),
+            (
+                &["--max-spawn-count", "12"],
+                want(|o| o.max_spawn_count = Some(12)),
+            ),
+            (&["--reexecute"], want(|o| o.reexecute = true)),
+            (
+                &["--checkpoint", "target/ckpt"],
+                want(|o| o.journal = CheckpointPolicy::Record("target/ckpt".into())),
+            ),
+            (
+                &["--resume", "sweep.ckpt"],
+                want(|o| o.journal = CheckpointPolicy::Resume("sweep.ckpt".into())),
+            ),
+            (
+                &["--budget", "2.5"],
+                want(|o| o.budget = Some(Duration::from_millis(2500))),
+            ),
+            (
+                &["--budget", "0"],
+                want(|o| o.budget = Some(Duration::ZERO)),
+            ),
+            (
+                &["--fault-panic-at", "2"],
+                want(|o| o.faults.panic_at = [2].into()),
+            ),
+        ];
+        // Out-of-range caps must not wrap (2^32 used to become a cap of
+        // 0), and a finite budget past `Duration`'s range used to panic.
+        let bad: [(&str, &[&str]); 7] = [
+            ("--threads", &["0x", "0", "-1"]),
+            ("--max-k", &["4294967296", "0", "x"]),
+            ("--max-spawn-count", &["4294967296", "0", "-1"]),
+            ("--checkpoint", &[]),
+            ("--resume", &[]),
+            ("--budget", &["-1", "NaN", "inf", "abc", "1e300"]),
+            ("--fault-panic-at", &["x", "-1"]),
+        ];
+        for cmd in ["suite", "exhaustive"] {
+            for (args, expect) in &good {
+                assert_eq!(sweep_of(cmd, args).as_ref(), Ok(expect), "{cmd} {args:?}");
+            }
+            for (flag, values) in bad {
+                let err = sweep_of(cmd, &[flag]).unwrap_err();
+                assert!(err.contains(&format!("{flag} requires a")), "{cmd}: {err}");
+                for value in values {
+                    let err = sweep_of(cmd, &[flag, value]).unwrap_err();
+                    assert!(err.contains(flag), "{cmd} {flag} {value}: {err}");
+                    if err.contains("not a valid number") {
+                        assert!(err.contains(&format!("{value:?}")), "{cmd}: {err}");
+                    }
+                }
+            }
+            let err = sweep_of(cmd, &["--fault-seed", "7"]).unwrap_err();
+            assert!(
+                err.contains("unknown argument \"--fault-seed\""),
+                "{cmd}: {err}"
+            );
+            assert!(err.contains(&format!("`rader {cmd}`")), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -350,47 +450,72 @@ mod tests {
             "target/ckpt",
             "--budget",
             "2.5",
-            "--fault-seed",
-            "7",
-            "--fault-panic-at",
-            "2",
             "--fault-panic-at",
             "5",
+            "--fault-panic-at",
+            "2",
+            "--max-k",
+            "3",
+            "--reexecute",
         ]) else {
             panic!("suite fault-tolerance flags did not parse");
         };
-        assert_eq!(o.checkpoint.as_deref(), Some("target/ckpt"));
-        assert_eq!(o.resume, None);
-        assert_eq!(o.budget, Some(2.5));
-        assert_eq!(o.fault_seed, Some(7));
-        assert_eq!(o.fault_panic_at, vec![2, 5]);
+        // One conversion yields the sweep's plan and controls; the suite
+        // maps the checkpoint prefix to a per-workload journal.
+        let (cov, ctl) = o
+            .sweep
+            .configure("dedup", |prefix| prefix.join("dedup.ckpt"));
+        assert_eq!(cov.max_k, Some(3));
+        assert_eq!(cov.max_spawn_count, None);
+        assert!(!cov.replay);
+        assert_eq!(
+            ctl.checkpoint,
+            CheckpointPolicy::Record("target/ckpt/dedup.ckpt".into())
+        );
+        assert_eq!(ctl.budget, Some(Duration::from_millis(2500)));
+        assert_eq!(
+            ctl.faults.panic_at.iter().copied().collect::<Vec<_>>(),
+            [2, 5]
+        );
+        assert_eq!(ctl.label, "dedup");
         let Ok(Command::Exhaustive(o)) =
             parse_strs(&["exhaustive", "--resume", "sweep.ckpt", "--budget", "0"])
         else {
             panic!("exhaustive fault-tolerance flags did not parse");
         };
-        assert_eq!(o.resume.as_deref(), Some("sweep.ckpt"));
-        assert_eq!(o.budget, Some(0.0));
+        let (cov, ctl) = o.configure("fig1-exhaustive", Path::to_path_buf);
+        assert!(cov.replay);
+        assert_eq!(
+            ctl.checkpoint,
+            CheckpointPolicy::Resume("sweep.ckpt".into())
+        );
+        assert_eq!(ctl.budget, Some(Duration::ZERO));
+        assert!(ctl.faults.panic_at.is_empty());
     }
 
     #[test]
     fn checkpoint_and_resume_are_mutually_exclusive() {
         for cmd in ["suite", "exhaustive"] {
-            let err = parse_strs(&[cmd, "--checkpoint", "a", "--resume", "b"]).unwrap_err();
-            assert!(err.contains("mutually exclusive"), "{cmd}: {err}");
+            for args in [
+                ["--checkpoint", "a", "--resume", "b"],
+                ["--resume", "b", "--checkpoint", "a"],
+            ] {
+                let err = sweep_of(cmd, &args).unwrap_err();
+                assert!(err.contains("mutually exclusive"), "{cmd}: {err}");
+            }
+            let o = sweep_of(cmd, &["--checkpoint", "a", "--checkpoint", "b"]).unwrap();
+            assert_eq!(o.journal, CheckpointPolicy::Record("b".into()));
         }
     }
 
     #[test]
     fn malformed_budgets_are_errors() {
-        for bad in ["-1", "NaN", "inf", "abc"] {
+        for bad in ["-1", "NaN", "inf", "abc", "1e300"] {
             let err = parse_strs(&["suite", "--budget", bad]).unwrap_err();
             assert!(err.contains("--budget"), "{bad}: {err}");
         }
         let err = parse_strs(&["suite", "--budget"]).unwrap_err();
         assert!(err.contains("--budget requires a value"), "{err}");
-        let err = parse_strs(&["suite", "--fault-panic-at", "x"]).unwrap_err();
-        assert!(err.contains("--fault-panic-at"), "{err}");
     }
 
     #[test]
@@ -405,35 +530,16 @@ mod tests {
     }
 
     #[test]
-    fn malformed_threads_and_caps_are_errors() {
-        let err = parse_strs(&["suite", "--threads", "0x"]).unwrap_err();
-        assert!(err.contains("--threads"), "{err}");
-        assert!(err.contains("0x"), "{err}");
-        let err = parse_strs(&["suite", "--threads", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse_strs(&["suite", "--max-k"]).unwrap_err();
-        assert!(err.contains("--max-k requires a value"), "{err}");
-        let err = parse_strs(&["exhaustive", "--max-spawn-count", "-1"]).unwrap_err();
-        assert!(err.contains("--max-spawn-count"), "{err}");
-        let err = parse_strs(&["suite", "--json"]).unwrap_err();
-        assert!(err.contains("--json requires a file path"), "{err}");
-        // 2^32 must not wrap to a cap of 0.
-        for cmd in ["suite", "exhaustive"] {
-            for flag in ["--max-k", "--max-spawn-count"] {
-                let err = parse_strs(&[cmd, flag, "4294967296"]).unwrap_err();
-                assert!(err.contains(flag), "{cmd} {flag}: {err}");
-                assert!(err.contains("4294967296"), "{cmd} {flag}: {err}");
-            }
-        }
-    }
-
-    #[test]
     fn unknown_subcommands_and_flags_are_errors() {
         let err = parse_strs(&["sweep"]).unwrap_err();
         assert!(err.contains("unknown command"), "{err}");
         assert!(err.contains("sweep"), "{err}");
         let err = parse_strs(&["suite", "--jsn", "x"]).unwrap_err();
         assert!(err.contains("--jsn"), "{err}");
+        let err = parse_strs(&["suite", "--json"]).unwrap_err();
+        assert!(err.contains("--json requires a file path"), "{err}");
+        let err = parse_strs(&["exhaustive", "--json", "x"]).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
         let err = parse_strs(&["fig1", "--verbose"]).unwrap_err();
         assert!(err.contains("--verbose"), "{err}");
         for args in [&["suite", "--strided"][..], &["suite", "--chunk", "8"]] {

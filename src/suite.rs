@@ -13,7 +13,8 @@
 //!    pass (the old separate uninstrumented run was pure waste) and
 //!    yields the view-read verdict.
 //! 2. **The Section-7 exhaustive SP+ sweep**
-//!    ([`rader_core::exhaustive_check_parallel`]): record once under the
+//!    ([`rader_core::exhaustive_check_parallel_ctl`], configured by
+//!    [`SweepOpts::configure`]): record once under the
 //!    no-steal schedule (which is itself the first detection run), then
 //!    replay the trace under every Theorem-6/7 specification, falling
 //!    back to re-execution on divergence. The sweep is parallel across
@@ -30,64 +31,20 @@
 //! deterministically reproducible.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use rader_cilk::SerialEngine;
 use rader_core::{
     coverage::{self, json_escape},
-    CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined, RaceReport, SweepControl,
-    SCHEMA_VERSION,
+    ExhaustiveReport, PeerSet, RaceReport, SCHEMA_VERSION,
 };
 use rader_workloads::Workload;
 
-/// Options for [`run_suite`].
-#[derive(Clone, Debug)]
-pub struct SuiteOptions {
-    /// Worker threads for the per-workload sweep.
-    pub threads: usize,
-    /// Cap on the reduce-family sync-block size `K` (`None`: measured K).
-    pub max_k: Option<u32>,
-    /// Cap on the update-family spawn count `M` (`None`: measured M).
-    pub max_spawn_count: Option<u32>,
-    /// Use the record/replay fast path (`false`: re-execute per spec).
-    pub replay: bool,
-    /// Record sweep checkpoints: each workload journals completed chunks
-    /// to `{prefix}.{name}.ckpt` under this path prefix.
-    pub checkpoint: Option<String>,
-    /// Resume from `{prefix}.{name}.ckpt` journals (validated against
-    /// each workload's spec-plan fingerprint), re-sweeping only the
-    /// missing chunks and appending new checkpoints as they complete.
-    /// Workloads whose journal is absent start fresh.
-    pub resume: Option<String>,
-    /// Wall-clock budget for each workload's sweep. Claims are reordered
-    /// by marginal coverage and the verdict turns `partial` when the
-    /// deadline cuts the sweep short.
-    pub budget: Option<Duration>,
-    /// Deterministic fault injection for the sweep (testing the
-    /// quarantine machinery; see [`FaultPlan`]).
-    pub faults: Option<FaultPlan>,
-}
-
-impl Default for SuiteOptions {
-    fn default() -> Self {
-        SuiteOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            max_k: None,
-            max_spawn_count: None,
-            replay: true,
-            checkpoint: None,
-            resume: None,
-            budget: None,
-            faults: None,
-        }
-    }
-}
+use crate::cli::SweepOpts;
 
 /// One workload's row in the suite report.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorkloadVerdict {
     /// Workload name (paper table name).
     pub name: String,
@@ -95,18 +52,6 @@ pub struct WorkloadVerdict {
     pub frames: u64,
     /// Instrumented memory accesses (reads + writes) in one run.
     pub accesses: u64,
-    /// SP+ runs performed by the sweep (one per specification).
-    pub runs: usize,
-    /// Sweep runs served by the recorded trace (incl. the record pass).
-    pub replayed: usize,
-    /// Measured (capped) maximum sync-block size `K`.
-    pub k: u32,
-    /// Measured (capped) maximum spawn count `M`.
-    pub m: u32,
-    /// Chunk claims the sweep performed (deterministic: a pure function
-    /// of the spec plan; `claims < runs` whenever chunked claiming
-    /// amortized the shared counter).
-    pub claims: usize,
     /// Total distinct races across both detectors.
     pub races: usize,
     /// ddmin-minimized reproducer spec for the first racy finding
@@ -115,26 +60,13 @@ pub struct WorkloadVerdict {
     pub minimized: Option<String>,
     /// Peer-Set membership checks performed.
     pub peer_set_checks: u64,
-    /// SP+ access checks performed across the whole sweep.
-    pub spplus_checks: u64,
-    /// True when a budget deadline left spec families unswept — the
-    /// verdict is an explicit under-approximation, not a full one.
-    pub partial: bool,
-    /// Per-family coverage gaps when `partial` (empty otherwise).
-    pub uncovered: Vec<String>,
-    /// Specs whose SP+ run panicked and was isolated instead of taking
-    /// the sweep down (payload + minimized reproducer).
-    pub quarantined: Vec<Quarantined>,
     /// Wall-clock for the workload end to end, nanoseconds.
     pub wall_ns: u64,
-    /// Sweep record-pass wall-clock, nanoseconds.
-    pub record_ns: u64,
-    /// Sweep (all specs) wall-clock, nanoseconds.
-    pub sweep_ns: u64,
-    /// Report-merge wall-clock, nanoseconds.
-    pub merge_ns: u64,
     /// Merged Peer-Set + sweep race report.
     pub report: RaceReport,
+    /// The Section-7 sweep: its runs, claims, `K` and `M`, SP+ checks,
+    /// partial coverage, quarantine and per-phase timing.
+    pub sweep: ExhaustiveReport,
 }
 
 impl WorkloadVerdict {
@@ -145,7 +77,7 @@ impl WorkloadVerdict {
 }
 
 /// The whole table: one verdict per workload.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SuiteReport {
     /// Per-workload verdicts, in input order.
     pub workloads: Vec<WorkloadVerdict>,
@@ -168,11 +100,12 @@ impl SuiteReport {
             if i > 0 {
                 out.push_str(",\n");
             }
+            let sweep = &w.sweep;
             let minimized = match &w.minimized {
                 Some(s) => format!("\"{}\"", json_escape(s)),
                 None => "null".to_string(),
             };
-            let uncovered = w
+            let uncovered = sweep
                 .uncovered
                 .iter()
                 .map(|u| format!("\"{}\"", json_escape(u)))
@@ -189,23 +122,23 @@ impl SuiteReport {
                 json_escape(&w.name),
                 w.clean(),
                 w.races,
-                w.runs,
-                w.replayed,
-                w.claims,
-                w.k,
-                w.m,
+                sweep.runs,
+                sweep.replayed,
+                sweep.claims,
+                sweep.k,
+                sweep.m,
                 w.frames,
                 w.accesses,
                 w.peer_set_checks,
-                w.spplus_checks,
+                sweep.spplus_checks,
                 minimized,
-                w.partial,
+                sweep.partial,
                 uncovered,
-                w.quarantined.len(),
+                sweep.quarantined.len(),
                 w.wall_ns,
-                w.record_ns,
-                w.sweep_ns,
-                w.merge_ns,
+                sweep.timing.record_ns,
+                sweep.timing.sweep_ns,
+                sweep.timing.merge_ns,
             );
         }
         out.push_str("\n]}\n");
@@ -218,8 +151,10 @@ impl SuiteReport {
 /// (its own spec plan, hence its own fingerprint); the workload name is
 /// also the fingerprint label, so a journal can never be replayed into
 /// the wrong workload even if the files are renamed.
-fn journal_path(prefix: &str, name: &str) -> PathBuf {
-    PathBuf::from(format!("{prefix}.{name}.ckpt"))
+fn journal_path(prefix: &Path, name: &str) -> PathBuf {
+    let mut path = prefix.as_os_str().to_owned();
+    path.push(format!(".{name}.ckpt"));
+    path.into()
 }
 
 /// Check one workload: Peer-Set run (statistics + view-read verdict),
@@ -229,29 +164,13 @@ fn journal_path(prefix: &str, name: &str) -> PathBuf {
 /// `--resume` journal that is corrupt or from a different spec plan) —
 /// those must abort loudly rather than silently re-sweep or, worse,
 /// merge mismatched results.
-pub fn check_workload(w: &Workload, opts: &SuiteOptions) -> Result<WorkloadVerdict, String> {
+pub fn check_workload(w: &Workload, opts: &SweepOpts) -> Result<WorkloadVerdict, String> {
     let wall = Instant::now();
     let mut peers = PeerSet::new();
     let stats = SerialEngine::new().run_tool(&mut peers, |cx| (w.run)(cx));
-    let cov = CoverageOptions {
-        max_k: opts.max_k,
-        max_spawn_count: opts.max_spawn_count,
-        replay: opts.replay,
-        ..CoverageOptions::default()
-    };
-    let checkpoint = match (&opts.resume, &opts.checkpoint) {
-        (Some(prefix), _) => CheckpointPolicy::Resume(journal_path(prefix, w.name)),
-        (None, Some(prefix)) => CheckpointPolicy::Record(journal_path(prefix, w.name)),
-        (None, None) => CheckpointPolicy::Off,
-    };
-    let ctl = SweepControl {
-        checkpoint,
-        budget: opts.budget,
-        faults: opts.faults.clone(),
-        label: w.name.to_string(),
-    };
+    let (cov, ctl) = opts.configure(w.name, |prefix| journal_path(prefix, w.name));
     let sweep =
-        coverage::exhaustive_check_parallel_ctl(|cx| (w.run)(cx), &cov, opts.threads, &ctl)?;
+        coverage::exhaustive_check_parallel_ctl(|cx| (w.run)(cx), &cov, opts.threads(), &ctl)?;
     let mut report = peers.report().clone();
     report.merge(&sweep.report);
     let races = report.determinacy.len() + report.view_read.len();
@@ -266,29 +185,18 @@ pub fn check_workload(w: &Workload, opts: &SuiteOptions) -> Result<WorkloadVerdi
         name: w.name.to_string(),
         frames: stats.frames,
         accesses: stats.reads + stats.writes,
-        runs: sweep.runs,
-        replayed: sweep.replayed,
-        k: sweep.k,
-        m: sweep.m,
-        claims: sweep.claims,
         races,
         minimized,
         peer_set_checks: peers.checks,
-        spplus_checks: sweep.spplus_checks,
-        partial: sweep.partial,
-        uncovered: sweep.uncovered,
-        quarantined: sweep.quarantined,
         wall_ns: wall.elapsed().as_nanos() as u64,
-        record_ns: sweep.timing.record_ns,
-        sweep_ns: sweep.timing.sweep_ns,
-        merge_ns: sweep.timing.merge_ns,
         report,
+        sweep,
     })
 }
 
 /// Run the pipeline over every workload. Stops at the first
 /// checkpoint-journal error (see [`check_workload`]).
-pub fn run_suite(workloads: &[Workload], opts: &SuiteOptions) -> Result<SuiteReport, String> {
+pub fn run_suite(workloads: &[Workload], opts: &SweepOpts) -> Result<SuiteReport, String> {
     let mut out = Vec::with_capacity(workloads.len());
     for w in workloads {
         out.push(check_workload(w, opts)?);
@@ -559,23 +467,26 @@ mod tests {
                 cx.sync();
             }),
         };
-        let v = check_workload(&w, &SuiteOptions::default()).expect("no journal is configured");
+        let v = check_workload(&w, &SweepOpts::default()).expect("no journal is configured");
         assert_eq!(
             count.load(Ordering::Relaxed),
             2,
             "suite must execute the body exactly twice (Peer-Set + record)"
         );
-        assert!(v.runs > 1, "sweep must cover multiple specs");
-        assert_eq!(v.replayed, v.runs, "all sweep runs should replay");
+        assert!(v.sweep.runs > 1, "sweep must cover multiple specs");
+        assert_eq!(
+            v.sweep.replayed, v.sweep.runs,
+            "all sweep runs should replay"
+        );
         assert!(v.clean(), "{}", v.report);
-        assert!(!v.partial, "an unbudgeted sweep is never partial");
-        assert!(v.uncovered.is_empty() && v.quarantined.is_empty());
+        assert!(!v.sweep.partial, "an unbudgeted sweep is never partial");
+        assert!(v.sweep.uncovered.is_empty() && v.sweep.quarantined.is_empty());
     }
 
     #[test]
     fn suite_json_is_valid_and_round_trips_field_names() {
         let ws = vec![fig1::workload(Scale::Small)];
-        let rep = run_suite(&ws, &SuiteOptions::default()).unwrap();
+        let rep = run_suite(&ws, &SweepOpts::default()).unwrap();
         let json = rep.to_json();
         validate_json(&json).expect("suite JSON must parse");
         for key in [
@@ -678,7 +589,7 @@ mod tests {
     #[test]
     fn racy_workload_is_flagged() {
         let ws = vec![fig1::workload_racy(Scale::Small)];
-        let rep = run_suite(&ws, &SuiteOptions::default()).unwrap();
+        let rep = run_suite(&ws, &SweepOpts::default()).unwrap();
         assert!(rep.has_races(), "suite must flag the buggy Figure-1 entry");
         let json = rep.to_json();
         validate_json(&json).unwrap();

@@ -16,8 +16,9 @@
 
 use std::sync::Arc;
 
-use rader::core::{coverage, CoverageOptions, PeerSet, SpPlus};
-use rader::suite::{self, SuiteOptions};
+use rader::cli::SweepOpts;
+use rader::core::{coverage, CoverageOptions, PeerSet, SpPlus, SweepTiming};
+use rader::suite;
 use rader_cilk::{Ctx, Loc, SerialEngine, StealSpec, ViewMem, ViewMonoid, Word};
 use rader_workloads::Workload;
 
@@ -129,14 +130,14 @@ fn old_single_schedule_path_misses_the_interior_race() {
 fn suite_sweep_flags_the_interior_race() {
     // The fix: the suite's verdict now comes from the Section-7 sweep,
     // which includes the [Steal(1), Steal(2), Reduce, Steal(3)] triple.
-    let rep = suite::run_suite(&[interior_workload()], &SuiteOptions::default()).unwrap();
+    let rep = suite::run_suite(&[interior_workload()], &SweepOpts::default()).unwrap();
     assert!(
         rep.has_races(),
         "suite sweep missed the interior reduce race"
     );
     let v = &rep.workloads[0];
     assert!(!v.clean());
-    assert!(v.runs > 1, "sweep must cover the spec families");
+    assert!(v.sweep.runs > 1, "sweep must cover the spec families");
 }
 
 #[test]
@@ -167,9 +168,7 @@ fn parallel_sweep_is_deterministic_across_runs() {
 fn zero_timings(rep: &mut suite::SuiteReport) {
     for w in &mut rep.workloads {
         w.wall_ns = 0;
-        w.record_ns = 0;
-        w.sweep_ns = 0;
-        w.merge_ns = 0;
+        w.sweep.timing = SweepTiming::default();
     }
 }
 
@@ -181,9 +180,9 @@ fn suite_json_is_byte_identical_across_threads() {
     // across thread counts, once timings are zeroed.
     let workloads = [interior_workload()];
     let run = |threads| {
-        let opts = SuiteOptions {
-            threads,
-            ..SuiteOptions::default()
+        let opts = SweepOpts {
+            threads: Some(threads),
+            ..SweepOpts::default()
         };
         let mut rep = suite::run_suite(&workloads, &opts).unwrap();
         zero_timings(&mut rep);
@@ -201,7 +200,7 @@ fn suite_json_is_byte_identical_across_threads() {
 
 #[test]
 fn suite_json_reports_the_racy_entry() {
-    let rep = suite::run_suite(&[interior_workload()], &SuiteOptions::default()).unwrap();
+    let rep = suite::run_suite(&[interior_workload()], &SweepOpts::default()).unwrap();
     let json = rep.to_json();
     suite::validate_json(&json).expect("suite JSON must parse");
     assert!(json.contains("\"name\": \"interior\""));

@@ -131,6 +131,11 @@ pub(crate) struct EngineState {
     strand: u64,
     block_seq: u64,
     stats: RunStats,
+    /// Replay-space `(base, len, record-space base)` of each allocation
+    /// whose accesses the replayed pruned trace dropped, in address order.
+    pruned_allocs: Vec<(u32, u32, u32)>,
+    /// The first view-aware access into one of `pruned_allocs`.
+    pruned_hit: Option<ReplayError>,
 }
 
 impl Default for EngineState {
@@ -151,6 +156,8 @@ impl Default for EngineState {
             strand: 0,
             block_seq: 0,
             stats: RunStats::default(),
+            pruned_allocs: Vec::new(),
+            pruned_hit: None,
         }
     }
 }
@@ -183,6 +190,8 @@ impl EngineState {
         self.strand = 0;
         self.block_seq = 0;
         self.stats = RunStats::default();
+        self.pruned_allocs.clear();
+        self.pruned_hit = None;
     }
 
     /// Go on under `spec` from here. Every open block's script becomes
@@ -237,6 +246,8 @@ impl Clone for EngineState {
         self.strand = src.strand;
         self.block_seq = src.block_seq;
         self.stats = src.stats;
+        self.pruned_allocs.clone_from(&src.pruned_allocs);
+        self.pruned_hit = src.pruned_hit;
     }
 }
 
@@ -295,6 +306,55 @@ impl<'t> Ctx<'t> {
     fn record(&mut self, ev: TraceEvent) {
         if let Some(rec) = self.recorder.as_mut() {
             rec.push(ev);
+        }
+    }
+
+    /// True while recording, or replaying a pruned trace that dropped
+    /// accesses to some allocation: monoid bodies must then pass each of
+    /// their accesses to [`Ctx::view_aware_access`].
+    #[inline]
+    pub(crate) fn watches_view_aware(&self) -> bool {
+        self.recorder.is_some() || !self.st.pruned_allocs.is_empty()
+    }
+
+    /// A monoid body's access of `loc`. Recording, note the user
+    /// allocation it lands in; replaying a pruned trace, note it if it
+    /// lands in an allocation whose accesses the trace dropped (DESIGN.md
+    /// §5h), for [`Ctx::pruned_hit`] to report.
+    #[inline(never)]
+    pub(crate) fn view_aware_access(&mut self, loc: Loc) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_view_aware(loc);
+            return;
+        }
+        let allocs = &self.st.pruned_allocs;
+        let Some(i) = allocs.partition_point(|a| a.0 <= loc.0).checked_sub(1) else {
+            return;
+        };
+        let (base, len, alloc) = allocs[i];
+        if loc.0 - base < len && self.st.pruned_hit.is_none() {
+            self.st.pruned_hit = Some(ReplayError::PrunedAllocation {
+                alloc: Loc(alloc),
+                len,
+                loc,
+            });
+        }
+    }
+
+    /// Guard the replayed user allocation of `n` words at `base`
+    /// (`record_base` when recorded), whose accesses the replayed pruned
+    /// trace dropped.
+    pub(crate) fn guard_pruned(&mut self, base: Loc, n: u32, record_base: Loc) {
+        self.st.pruned_allocs.push((base.0, n, record_base.0));
+    }
+
+    /// The first view-aware access into a guarded allocation since the
+    /// last call, as an error.
+    #[inline]
+    pub(crate) fn pruned_hit(&mut self) -> Result<(), ReplayError> {
+        match self.st.pruned_hit.take() {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
     }
 

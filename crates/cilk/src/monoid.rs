@@ -30,36 +30,46 @@ use crate::mem::{Loc, Word};
 /// only touch memory — it cannot spawn or sync.
 pub struct ViewMem<'a, 't> {
     cx: &'a mut Ctx<'t>,
+    /// Recording, or replaying a pruned trace: every access is noted
+    /// (`Ctx::view_aware_access`).
+    watched: bool,
 }
 
 impl<'a, 't> ViewMem<'a, 't> {
     /// Confine `cx` to memory operations for the duration of a monoid call.
     pub(crate) fn new(cx: &'a mut Ctx<'t>) -> Self {
-        ViewMem { cx }
+        let watched = cx.watches_view_aware();
+        ViewMem { cx, watched }
     }
 
     /// Instrumented read.
     #[inline]
     pub fn read(&mut self, loc: Loc) -> Word {
+        if self.watched {
+            self.cx.view_aware_access(loc);
+        }
         self.cx.read(loc)
     }
 
     /// Instrumented write.
     #[inline]
     pub fn write(&mut self, loc: Loc, v: Word) {
+        if self.watched {
+            self.cx.view_aware_access(loc);
+        }
         self.cx.write(loc, v)
     }
 
     /// Read `base + i`.
     #[inline]
     pub fn read_idx(&mut self, base: Loc, i: usize) -> Word {
-        self.cx.read(base.at(i))
+        self.read(base.at(i))
     }
 
     /// Write `base + i`.
     #[inline]
     pub fn write_idx(&mut self, base: Loc, i: usize, v: Word) {
-        self.cx.write(base.at(i), v)
+        self.write(base.at(i), v)
     }
 
     /// Allocate `n` zero-initialized words.

@@ -61,8 +61,15 @@
 //! paused between events; copied at the fork event (with the tool's
 //! state) and switched to the other spec, it finishes exactly as a
 //! from-scratch replay under that spec would (DESIGN.md §5g).
+//!
+//! ## Pruned copies
+//!
+//! [`ProgramTrace::pruned`] drops the view-oblivious accesses whose
+//! detector checks the no-steal recording run already settled. A replay
+//! of the copy refuses with [`ReplayError::PrunedAllocation`] when a
+//! monoid body touches memory whose accesses were dropped (DESIGN.md §5h).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::engine::{Ctx, EngineState, RunStats};
@@ -133,9 +140,11 @@ pub(crate) enum TraceEvent {
 
 /// Why a trace could not be replayed under some steal specification.
 ///
-/// Both variants mean "this (program, specification) pair needs honest
-/// re-execution", not that the trace is corrupt: the recording is still
-/// valid for every specification that does not trigger the condition.
+/// No variant means the trace is corrupt: the recording is still valid
+/// for every specification that does not trigger the condition. The
+/// first two mean "this (program, specification) pair needs honest
+/// re-execution"; [`ReplayError::PrunedAllocation`] only that the pair
+/// needs the trace as recorded rather than its pruned copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayError {
     /// A recorded `get_value` result aliases user memory, but under this
@@ -158,6 +167,19 @@ pub enum ReplayError {
     /// relocate.
     UntranslatableLoc {
         /// The record-space location with no replay-space image.
+        loc: Loc,
+    },
+    /// Replaying a [`ProgramTrace::pruned`] copy, a view-aware access (a
+    /// monoid body's) touched a user allocation whose view-oblivious
+    /// accesses the copy dropped: the checks of that access need the
+    /// dropped ones, so this specification must replay the trace as
+    /// recorded (DESIGN.md §5h).
+    PrunedAllocation {
+        /// The allocation's record-space base.
+        alloc: Loc,
+        /// The allocation's length in words.
+        len: u32,
+        /// The replay-space location the view-aware access touched.
         loc: Loc,
     },
 }
@@ -183,6 +205,13 @@ impl std::fmt::Display for ReplayError {
                  reachable from a get_value result; the program reads view \
                  internals and is outside the replayable class"
             ),
+            ReplayError::PrunedAllocation { alloc, len, loc } => write!(
+                f,
+                "a view-aware access touched {loc:?} in the user allocation of \
+                 {len} word(s) at {alloc:?} (record space), whose view-oblivious \
+                 accesses the pruned trace dropped; replay this specification \
+                 from the unpruned trace instead"
+            ),
         }
     }
 }
@@ -196,13 +225,7 @@ pub(crate) struct TraceBuilder {
     events: Vec<TraceEvent>,
     write_values: Vec<Word>,
     run_lens: Vec<u32>,
-    allocs: Vec<(Loc, u32)>,
-    updates: Vec<(ReducerId, u32, u32)>,
-    ops: Vec<Word>,
-    get_views: Vec<(ReducerId, Loc)>,
-    set_views: Vec<(ReducerId, Loc)>,
-    labels: Vec<&'static str>,
-    monoids: Vec<Arc<dyn ViewMonoid>>,
+    shared: SharedStreams,
     first_leave_at_cont: Vec<usize>,
     first_leave_at_spawn_count: Vec<usize>,
 }
@@ -289,39 +312,55 @@ impl TraceBuilder {
 
     #[inline]
     pub(crate) fn push_alloc(&mut self, base: Loc, n: u32) {
-        self.allocs.push((base, n));
+        self.shared.allocs.push((base, n));
+        self.shared.view_aware.push(false);
         self.events.push(TraceEvent::Alloc);
+    }
+
+    /// A view-aware access (a monoid body's) of `loc`: mark the user
+    /// allocation it lands in, if any, as one [`ProgramTrace::pruned`]
+    /// must keep every access to.
+    #[inline(never)]
+    pub(crate) fn note_view_aware(&mut self, loc: Loc) {
+        let sh = &mut self.shared;
+        if let Some(i) = sh.allocs.partition_point(|&(b, _)| b <= loc).checked_sub(1) {
+            let (base, n) = sh.allocs[i];
+            if loc.0 - base.0 < n {
+                sh.view_aware[i] = true;
+            }
+        }
     }
 
     #[inline]
     pub(crate) fn push_label(&mut self, label: &'static str) {
-        self.labels.push(label);
+        self.shared.labels.push(label);
         self.events.push(TraceEvent::FrameLabel);
     }
 
     #[inline]
     pub(crate) fn push_update(&mut self, h: ReducerId, op: &[Word]) {
-        let start = self.ops.len() as u32;
-        self.ops.extend_from_slice(op);
-        self.updates.push((h, start, op.len() as u32));
+        let sh = &mut self.shared;
+        let start = sh.ops.len() as u32;
+        sh.ops.extend_from_slice(op);
+        sh.updates.push((h, start, op.len() as u32));
         self.events.push(TraceEvent::Update);
     }
 
     #[inline]
     pub(crate) fn push_get_view(&mut self, h: ReducerId, result: Loc) {
-        self.get_views.push((h, result));
+        self.shared.get_views.push((h, result));
         self.events.push(TraceEvent::GetView);
     }
 
     #[inline]
     pub(crate) fn push_set_view(&mut self, h: ReducerId, loc: Loc) {
-        self.set_views.push((h, loc));
+        self.shared.set_views.push((h, loc));
         self.events.push(TraceEvent::SetView);
     }
 
     #[inline]
     pub(crate) fn push_new_reducer(&mut self, monoid: Arc<dyn ViewMonoid>) {
-        self.monoids.push(monoid);
+        self.shared.monoids.push(monoid);
         self.events.push(TraceEvent::NewReducer);
     }
 
@@ -330,18 +369,30 @@ impl TraceBuilder {
             events: self.events,
             write_values: self.write_values,
             run_lens: self.run_lens,
-            allocs: self.allocs,
-            updates: self.updates,
-            ops: self.ops,
-            get_views: self.get_views,
-            set_views: self.set_views,
-            labels: self.labels,
-            monoids: self.monoids,
+            shared: Arc::new(self.shared),
+            dropped_allocs: Vec::new(),
+            dropped: 0,
             first_leave_at_cont: self.first_leave_at_cont,
             first_leave_at_spawn_count: self.first_leave_at_spawn_count,
             stats,
         }
     }
+}
+
+/// The side streams [`ProgramTrace::pruned`] leaves as they are; a trace
+/// and its pruned copy share one.
+#[derive(Default)]
+struct SharedStreams {
+    allocs: Vec<(Loc, u32)>,
+    /// Per allocation in `allocs`: a view-aware access of the recording
+    /// run touched it.
+    view_aware: Vec<bool>,
+    updates: Vec<(ReducerId, u32, u32)>,
+    ops: Vec<Word>,
+    get_views: Vec<(ReducerId, Loc)>,
+    set_views: Vec<(ReducerId, Loc)>,
+    labels: Vec<&'static str>,
+    monoids: Vec<Arc<dyn ViewMonoid>>,
 }
 
 /// A recorded serial action tree, replayable under any [`StealSpec`]
@@ -355,16 +406,15 @@ impl TraceBuilder {
 /// measurement run.
 #[derive(Clone)]
 pub struct ProgramTrace {
-    pub(crate) events: Vec<TraceEvent>,
-    pub(crate) write_values: Vec<Word>,
-    pub(crate) run_lens: Vec<u32>,
-    pub(crate) allocs: Vec<(Loc, u32)>,
-    pub(crate) updates: Vec<(ReducerId, u32, u32)>,
-    pub(crate) ops: Vec<Word>,
-    pub(crate) get_views: Vec<(ReducerId, Loc)>,
-    pub(crate) set_views: Vec<(ReducerId, Loc)>,
-    pub(crate) labels: Vec<&'static str>,
-    pub(crate) monoids: Vec<Arc<dyn ViewMonoid>>,
+    events: Vec<TraceEvent>,
+    write_values: Vec<Word>,
+    run_lens: Vec<u32>,
+    shared: Arc<SharedStreams>,
+    /// Per allocation in `shared.allocs`: [`ProgramTrace::pruned`]
+    /// dropped accesses to it. Empty for a trace as recorded.
+    dropped_allocs: Vec<bool>,
+    /// Element accesses [`ProgramTrace::pruned`] dropped.
+    dropped: u64,
     /// Event index of the first spawned child's `FrameLeave` whose
     /// parent continuation has index `k`, at `k - 1`.
     first_leave_at_cont: Vec<usize>,
@@ -407,6 +457,121 @@ impl ProgramTrace {
     /// True if the trace recorded no events (an empty program).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// A copy of this recorded trace without the view-oblivious accesses
+    /// whose checks the recording run already settled, for replays under
+    /// every spec other than `StealSpec::None` (DESIGN.md §5h). A `Read`,
+    /// `Write` or run of either is dropped when it lies wholly inside one
+    /// user allocation that no view-aware access touched while recording,
+    /// and covers none of `racy`, the locations the recording run's
+    /// detector found racy. Every allocation stays, so replays of the copy
+    /// are address-identical to replays of the original; a replay whose
+    /// view-aware access lands in an allocation the copy dropped accesses
+    /// from refuses with [`ReplayError::PrunedAllocation`]. The copy
+    /// shares every side stream but the event, write-value and run-length
+    /// streams with this trace.
+    ///
+    /// `None` if nothing would be dropped.
+    ///
+    /// # Panics
+    ///
+    /// If this trace is itself a pruned copy.
+    pub fn pruned(&self, racy: &BTreeSet<Loc>) -> Option<ProgramTrace> {
+        assert!(self.dropped_allocs.is_empty(), "prune a trace as recorded");
+        let sh = &self.shared;
+        if sh.view_aware.iter().all(|&aware| aware) {
+            return None;
+        }
+        // The allocation wholly holding `len` words at `loc`, if it has no
+        // view-aware access and the words none of `racy`. Accesses cluster
+        // in one allocation at a time, so the last one found is tried first.
+        let mut last = 0;
+        let mut droppable = |loc: Loc, len: u32| {
+            let holds = |i: usize| {
+                let (base, n) = sh.allocs[i];
+                let off = loc.0.wrapping_sub(base.0);
+                off < n && len <= n - off
+            };
+            if last >= sh.allocs.len() || !holds(last) {
+                last = sh
+                    .allocs
+                    .partition_point(|&(b, _)| b <= loc)
+                    .checked_sub(1)?;
+                if !holds(last) {
+                    return None;
+                }
+            }
+            let clean = racy.is_empty() || racy.range(loc..Loc(loc.0 + len)).next().is_none();
+            (clean && !sh.view_aware[last]).then_some(last)
+        };
+        let mut events = Vec::with_capacity(self.events.len());
+        let mut write_values = Vec::new();
+        let mut run_lens = Vec::new();
+        let mut dropped_allocs = vec![false; sh.allocs.len()];
+        let mut dropped = 0u64;
+        // The copy's index of each kept event, for the fork tables.
+        let mut new_at = Vec::with_capacity(self.events.len());
+        let (mut values, mut lens) = (&self.write_values[..], self.run_lens.iter());
+        for &ev in &self.events {
+            new_at.push(events.len() as u32);
+            let (loc, len, writes) = match ev {
+                TraceEvent::Read { loc } => (loc, 1, false),
+                TraceEvent::Write { loc } => (loc, 1, true),
+                TraceEvent::ReadRun { loc } | TraceEvent::WriteRun { loc } => {
+                    let len = *lens.next().expect("run-length stream underrun");
+                    (loc, len, matches!(ev, TraceEvent::WriteRun { .. }))
+                }
+                _ => {
+                    events.push(ev);
+                    continue;
+                }
+            };
+            let vals = if writes {
+                take_values(&mut values, len as usize)
+            } else {
+                &[]
+            };
+            if let Some(i) = droppable(loc, len) {
+                dropped_allocs[i] = true;
+                dropped += u64::from(len);
+                continue;
+            }
+            events.push(ev);
+            if matches!(ev, TraceEvent::ReadRun { .. } | TraceEvent::WriteRun { .. }) {
+                run_lens.push(len);
+            }
+            write_values.extend_from_slice(vals);
+        }
+        if dropped == 0 {
+            return None;
+        }
+        let remap = |table: &[usize]| -> Vec<usize> {
+            table
+                .iter()
+                .map(|&at| match at {
+                    usize::MAX => at,
+                    at => new_at[at] as usize,
+                })
+                .collect()
+        };
+        Some(ProgramTrace {
+            events,
+            write_values,
+            run_lens,
+            shared: Arc::clone(&self.shared),
+            dropped_allocs,
+            dropped,
+            first_leave_at_cont: remap(&self.first_leave_at_cont),
+            first_leave_at_spawn_count: remap(&self.first_leave_at_spawn_count),
+            stats: self.stats,
+        })
+    }
+
+    /// Element accesses [`ProgramTrace::pruned`] dropped from this trace:
+    /// the checks each replay of it skips (0 for a trace as recorded).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// The first event at which replays under `a` and `b` can differ:
@@ -477,8 +642,9 @@ impl std::fmt::Debug for ProgramTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgramTrace")
             .field("events", &self.events.len())
-            .field("ops", &self.ops.len())
-            .field("reducers", &self.monoids.len())
+            .field("ops", &self.shared.ops.len())
+            .field("reducers", &self.shared.monoids.len())
+            .field("dropped", &self.dropped)
             .field("stats", &self.stats)
             .finish()
     }
@@ -760,26 +926,39 @@ fn drive_from(
     stop: usize,
 ) -> Result<(), ReplayError> {
     let stop = stop.clamp(at.event, trace.events.len());
+    let sh = &*trace.shared;
     let mut write_values = &trace.write_values[at.write_values..];
     let mut run_lens = trace.run_lens[at.run_lens..].iter();
-    let mut allocs = trace.allocs[at.allocs..].iter();
-    let mut updates = trace.updates[at.updates..].iter();
-    let mut get_views = trace.get_views[at.get_views..].iter();
-    let mut set_views = trace.set_views[at.set_views..].iter();
-    let mut labels = trace.labels[at.labels..].iter();
+    let mut allocs = sh.allocs[at.allocs..].iter();
+    let mut updates = sh.updates[at.updates..].iter();
+    let mut get_views = sh.get_views[at.get_views..].iter();
+    let mut set_views = sh.set_views[at.set_views..].iter();
+    let mut labels = sh.labels[at.labels..].iter();
     let mut next_reducer = at.reducers;
+    // Events that may run monoid bodies end with `cx.pruned_hit()?`: the
+    // guard of DESIGN.md §5h, a no-op unless the trace is a pruned copy.
     for ev in &trace.events[at.event..stop] {
         match *ev {
             TraceEvent::FrameEnter(kind) => cx.enter_frame(kind),
-            TraceEvent::FrameLeave => cx.leave_frame(),
+            TraceEvent::FrameLeave => {
+                cx.leave_frame();
+                cx.pruned_hit()?;
+            }
             TraceEvent::FrameLabel => {
                 cx.label_frame(labels.next().expect("label stream underrun"));
             }
-            TraceEvent::Sync => cx.sync(),
+            TraceEvent::Sync => {
+                cx.sync();
+                cx.pruned_hit()?;
+            }
             TraceEvent::Alloc => {
+                let i = sh.allocs.len() - allocs.len();
                 let &(base, n) = allocs.next().expect("alloc stream underrun");
                 let rb = cx.alloc(n as usize);
                 xl.push_alloc(base, n, rb);
+                if trace.dropped_allocs.get(i) == Some(&true) {
+                    cx.guard_pruned(rb, n, base);
+                }
             }
             TraceEvent::Read { loc } => {
                 let t = xl.translate(loc)?;
@@ -816,18 +995,20 @@ fn drive_from(
                 }
             }
             TraceEvent::NewReducer => {
-                let h = cx.new_reducer(trace.monoids[next_reducer].clone());
+                let h = cx.new_reducer(sh.monoids[next_reducer].clone());
                 debug_assert_eq!(h.index(), next_reducer, "reducer ids must replay in order");
                 next_reducer += 1;
             }
             TraceEvent::Update => {
                 let &(h, start, len) = updates.next().expect("update stream underrun");
-                let ops = &trace.ops[start as usize..(start + len) as usize];
+                let ops = &sh.ops[start as usize..(start + len) as usize];
                 cx.reducer_update(h, ops);
+                cx.pruned_hit()?;
             }
             TraceEvent::GetView => {
                 let &(h, result) = get_views.next().expect("get-view stream underrun");
                 let got = cx.reducer_get_view(h);
+                cx.pruned_hit()?;
                 xl.note_get_view(h, result, got)?;
             }
             TraceEvent::SetView => {
@@ -841,11 +1022,11 @@ fn drive_from(
         event: stop,
         write_values: trace.write_values.len() - write_values.len(),
         run_lens: trace.run_lens.len() - run_lens.len(),
-        allocs: trace.allocs.len() - allocs.len(),
-        updates: trace.updates.len() - updates.len(),
-        get_views: trace.get_views.len() - get_views.len(),
-        set_views: trace.set_views.len() - set_views.len(),
-        labels: trace.labels.len() - labels.len(),
+        allocs: sh.allocs.len() - allocs.len(),
+        updates: sh.updates.len() - updates.len(),
+        get_views: sh.get_views.len() - get_views.len(),
+        set_views: sh.set_views.len() - set_views.len(),
+        labels: sh.labels.len() - labels.len(),
         reducers: next_reducer,
     };
     Ok(())
@@ -1241,6 +1422,106 @@ mod tests {
             (StealSpec::None, StealSpec::None),
         ] {
             assert_eq!(trace.fork_event(&a, &b), None, "{a:?} / {b:?}");
+        }
+    }
+
+    /// The Figure-1 `Touchy` pattern: only view-oblivious code touches
+    /// `cell` in the no-steal run, but every reduce writes it.
+    fn touchy(cx: &mut Ctx<'_>) {
+        struct Touchy {
+            cell: Loc,
+        }
+        impl ViewMonoid for Touchy {
+            fn create_identity(&self, m: &mut ViewMem<'_, '_>) -> Loc {
+                m.alloc(1)
+            }
+            fn reduce(&self, m: &mut ViewMem<'_, '_>, left: Loc, right: Loc) {
+                let r = m.read(right);
+                let l = m.read(left);
+                m.write(left, l + r);
+                m.write(self.cell, 1);
+            }
+            fn update(&self, m: &mut ViewMem<'_, '_>, view: Loc, op: &[Word]) {
+                let v = m.read(view);
+                m.write(view, v + op[0]);
+            }
+        }
+        let cell = cx.alloc(1);
+        let h = cx.new_reducer(Arc::new(Touchy { cell }));
+        cx.spawn(move |cx| cx.write(cell, 7));
+        cx.spawn(move |cx| cx.reducer_update(h, &[1]));
+        cx.reducer_update(h, &[2]);
+        cx.sync();
+    }
+
+    #[test]
+    fn pruned_trace_refuses_a_view_aware_access_to_a_dropped_allocation() {
+        let trace = ProgramTrace::record(touchy);
+        let pruned = trace
+            .pruned(&BTreeSet::new())
+            .expect("the cell write is droppable");
+        assert_eq!(pruned.dropped(), 1);
+        assert_eq!(pruned.len(), trace.len() - 1);
+        // No steal, no reduce: the pruned replay runs through.
+        let stats = SerialEngine::new().replay(&pruned).unwrap();
+        assert_eq!(stats.writes, trace.stats().writes - 1);
+        // Stealing the second continuation makes the sync's reduce write
+        // the cell the copy dropped the write of; the trace as recorded
+        // still replays.
+        let spec = StealSpec::EveryBlock(BlockScript::steals(vec![2]));
+        match SerialEngine::with_spec(spec.clone()).replay(&pruned) {
+            Err(e @ ReplayError::PrunedAllocation { alloc, len, .. }) => {
+                assert_eq!((alloc, len), (Loc(0), 1));
+                assert!(e.to_string().contains("Loc(0)"), "{e}");
+            }
+            other => panic!("expected PrunedAllocation, got {other:?}"),
+        }
+        assert!(SerialEngine::with_spec(spec).replay(&trace).is_ok());
+        // A racy cell keeps its accesses: nothing is left to drop.
+        assert!(trace.pruned(&BTreeSet::from([Loc(0)])).is_none());
+    }
+
+    #[test]
+    fn pruning_keeps_view_aware_allocations_and_forks_alike() {
+        // `program`'s buffer is only ever touched by view-oblivious code;
+        // `touched` is a user cell a set_view hands to the monoid.
+        let prog = |cx: &mut Ctx<'_>| {
+            nested(cx);
+            let h = cx.new_reducer(add_monoid());
+            let touched = cx.alloc(1);
+            cx.write(touched, 3);
+            cx.reducer_set_view(h, touched);
+            cx.reducer_update(h, &[1]);
+        };
+        let trace = ProgramTrace::record(prog);
+        let pruned = trace.pruned(&BTreeSet::new()).unwrap();
+        assert!(pruned.dropped() > 0);
+        let mut log = HookLog::default();
+        SerialEngine::new().replay_tool(&mut log, &pruned).unwrap();
+        assert!(
+            log.0
+                .iter()
+                .any(|h| h.starts_with("write") && h.contains("Oblivious")),
+            "the write to the view-aware cell was dropped"
+        );
+        // Fork events move with the events before them; forks of the
+        // pruned trace finish as its from-scratch replays do.
+        let specs = forkable_specs(trace.stats().max_spawn_count);
+        for pair in specs.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            let Some(at) = pruned.fork_event(a, b) else {
+                continue;
+            };
+            assert!(at == pruned.len() || matches!(pruned.events[at], TraceEvent::FrameLeave));
+            let (mut forked, ckpt) = replay_until(&pruned, a, at);
+            let mut ckpt = ckpt.clone();
+            assert!(ckpt.resume_as(&pruned, b));
+            ckpt.finish(&mut forked, &pruned).unwrap();
+            let mut fresh = HookLog::default();
+            SerialEngine::with_spec(b.clone())
+                .replay_tool(&mut fresh, &pruned)
+                .unwrap();
+            assert_eq!(forked.0, fresh.0, "{a:?} forked as {b:?}");
         }
     }
 

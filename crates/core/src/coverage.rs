@@ -287,29 +287,40 @@ impl Pool {
     }
 }
 
-/// Run SP+ under spec `i`, preferring trace replay when a trace is
-/// available and falling back to re-executing the program if replay
-/// reports divergence. Returns the report and, for a fallback, why
-/// replay refused.
+/// Run SP+ under a spec, preferring trace replay when the plan has a
+/// trace: its pruned copy first, if there is one (DESIGN.md §5h), the
+/// trace as recorded when a view-aware access reaches memory whose
+/// accesses the copy dropped, and re-execution of the program if replay
+/// reports divergence. Returns the report, why replay refused for a
+/// fallback, and the checks pruning skipped.
 fn sweep_one(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
-    trace: Option<&ProgramTrace>,
+    plan: &SweepPlan,
     spec: &StealSpec,
     resumed: bool,
     next: Option<(usize, &StealSpec)>,
     pool: &mut Pool,
-) -> (RaceReport, Option<ReplayError>) {
+) -> (RaceReport, Option<ReplayError>, u64) {
     let mut refused = None;
-    if let Some(trace) = trace {
-        match pool.replay(trace, spec, resumed, next) {
-            Ok(()) => return (pool.tool.take_report(), None),
+    if let Some(trace) = &plan.trace {
+        let first = plan.pruned.as_ref().unwrap_or(trace);
+        let mut result = pool.replay(first, spec, resumed, next);
+        let mut skipped = first.dropped();
+        if let Err(ReplayError::PrunedAllocation { .. }) = result {
+            // From the first event and without a fork copy: the other
+            // slot's copy, if it holds one, stays on the pruned trace.
+            result = pool.replay(trace, spec, false, None);
+            skipped = 0;
+        }
+        match result {
+            Ok(()) => return (pool.tool.take_report(), None, skipped),
             // Divergence: this spec's schedule makes the recorded stream
             // unreliable (see `rader_cilk::replay`); re-execute honestly.
             Err(e) => refused = Some(e),
         }
     }
     SerialEngine::with_spec(spec.clone()).run_tool(&mut pool.tool, program);
-    (pool.tool.take_report(), refused)
+    (pool.tool.take_report(), refused, 0)
 }
 
 /// Wall-clock cost of each phase of an exhaustive sweep, in nanoseconds.
@@ -386,6 +397,11 @@ pub struct ExhaustiveReport {
     /// than from the first event (DESIGN.md §5g). Depends on how the
     /// threads interleaved, so it is not serialized.
     pub forked: usize,
+    /// Access checks this sweep skipped by replaying the record pass's
+    /// pruned trace (DESIGN.md §5h): its dropped accesses, once per spec
+    /// it served. Specs a resumed checkpoint journal served are not
+    /// counted. Not serialized.
+    pub pruned: u64,
 }
 
 /// Escape a string for a JSON string literal (sweep family names, panic
@@ -515,6 +531,7 @@ struct LiveChunk {
     record: ChunkRecord,
     fallbacks: Vec<(usize, ReplayError)>,
     forked: usize,
+    pruned: u64,
 }
 
 /// Sweep one chunk of specs with a worker's pool, isolating per-spec
@@ -535,10 +552,10 @@ fn sweep_chunk(
 ) -> LiveChunk {
     let (start, end) = plan.chunks[chunk_index];
     let specs = &plan.specs;
-    let trace = plan.trace.as_ref();
+    let trace = plan.replays();
     let mut checks = 0;
     let mut outcomes = Vec::with_capacity(end - start);
-    let (mut fallbacks, mut forked) = (Vec::new(), 0);
+    let (mut fallbacks, mut forked, mut pruned) = (Vec::new(), 0, 0);
     for (i, spec) in (start..end).zip(&specs[start..end]) {
         let injected = faults.panic_at.contains(&i);
         let next = if i + 1 < end { Some(i + 1) } else { then };
@@ -552,11 +569,12 @@ fn sweep_chunk(
             }
             let resumed = trace.is_some_and(|t| pool.take_fork(i, t, spec));
             forked += resumed as usize;
-            sweep_one(program, trace, spec, resumed, next, pool)
+            sweep_one(program, plan, spec, resumed, next, pool)
         }));
         checks += pool.tool.checks;
         match result {
-            Ok((report, refused)) => {
+            Ok((report, refused, skipped)) => {
+                pruned += skipped;
                 if let Some(e) = refused {
                     fallbacks.push((i, e));
                 }
@@ -587,6 +605,7 @@ fn sweep_chunk(
         },
         fallbacks,
         forked,
+        pruned,
     }
 }
 
@@ -614,7 +633,19 @@ pub fn exhaustive_check_parallel_ctl(
     threads: usize,
     ctl: &SweepControl,
 ) -> Result<ExhaustiveReport, String> {
-    let plan = plan_sweep(&program, opts);
+    sweep(program, opts, threads, ctl, true)
+}
+
+/// [`exhaustive_check_parallel_ctl`], replaying every spec but the first
+/// from a pruned trace when `prune` is set.
+fn sweep(
+    program: impl Fn(&mut Ctx<'_>) + Sync,
+    opts: &CoverageOptions,
+    threads: usize,
+    ctl: &SweepControl,
+    prune: bool,
+) -> Result<ExhaustiveReport, String> {
+    let plan = plan_sweep(&program, opts, prune);
     let (done, writer) = open_journal(ctl, &plan)?;
     let sweep_start = Instant::now();
     let live = claim_chunks(&program, &plan, &done, writer, threads, ctl)?;
@@ -631,10 +662,13 @@ pub fn exhaustive_check_parallel_ctl(
 }
 
 /// Everything a sweep fixes before its first claim: the recorded trace
-/// (replay mode only), the spec list and its chunk plan, and the outcome
-/// of the record pass.
+/// and its pruned copy (replay mode only), the spec list and its chunk
+/// plan, and the outcome of the record pass.
 struct SweepPlan {
     trace: Option<ProgramTrace>,
+    /// The trace without the accesses the record pass settled, if it
+    /// drops any (DESIGN.md §5h).
+    pruned: Option<ProgramTrace>,
     /// Statistics that sized the plan (bound into the journal
     /// fingerprint).
     stats: RunStats,
@@ -648,6 +682,14 @@ struct SweepPlan {
     record_ns: u64,
 }
 
+impl SweepPlan {
+    /// The trace spec replays start from: the pruned copy, if there is
+    /// one, else the trace as recorded.
+    fn replays(&self) -> Option<&ProgramTrace> {
+        self.pruned.as_ref().or(self.trace.as_ref())
+    }
+}
+
 /// Run the record pass and plan the sweep's specs and chunks.
 ///
 /// Every sweep starts with the no-steal specification, and recording
@@ -657,8 +699,13 @@ struct SweepPlan {
 /// uninstrumented run measures K and M for spec planning instead; it is
 /// not counted in `runs`. A resumed sweep repeats this pass — the journal
 /// stores only sweep results, and re-recording keeps the trace and stats
-/// exactly as the interrupted run saw them.
-fn plan_sweep(program: &(impl Fn(&mut Ctx<'_>) + Sync), opts: &CoverageOptions) -> SweepPlan {
+/// exactly as the interrupted run saw them. With `prune`, the pass ends
+/// by pruning the trace against its own report.
+fn plan_sweep(
+    program: &(impl Fn(&mut Ctx<'_>) + Sync),
+    opts: &CoverageOptions,
+    prune: bool,
+) -> SweepPlan {
     let record_start = Instant::now();
     let (trace, stats, base, base_checks) = if opts.replay {
         let mut tool = SpPlus::new();
@@ -669,6 +716,10 @@ fn plan_sweep(program: &(impl Fn(&mut Ctx<'_>) + Sync), opts: &CoverageOptions) 
     } else {
         (None, SerialEngine::new().run(program), None, 0)
     };
+    let pruned = match (&trace, &base) {
+        (Some(trace), Some(report)) if prune => trace.pruned(&report.racy_locs()),
+        _ => None,
+    };
     let record_ns = record_start.elapsed().as_nanos() as u64;
     let (specs, k, m) = plan_specs(&stats, opts);
     // Index 0 (StealSpec::None) is already served when the record pass
@@ -676,6 +727,7 @@ fn plan_sweep(program: &(impl Fn(&mut Ctx<'_>) + Sync), opts: &CoverageOptions) 
     let chunks = plan_chunks(&specs, base.is_some() as usize);
     SweepPlan {
         trace,
+        pruned,
         stats,
         specs,
         k,
@@ -811,10 +863,11 @@ fn merge_outcomes(
     let mut slots: Vec<Option<SpecOutcome>> = (0..specs.len()).map(|_| None).collect();
     let mut checks = base_checks;
     let mut fallbacks = Vec::new();
-    let mut forked = 0;
+    let (mut forked, mut pruned) = (0, 0);
     for chunk in &mut live {
         fallbacks.append(&mut chunk.fallbacks);
         forked += chunk.forked;
+        pruned += chunk.pruned;
     }
     fallbacks.sort_unstable_by_key(|&(i, _)| i);
     for rec in done.into_values().chain(live.into_iter().map(|c| c.record)) {
@@ -879,6 +932,7 @@ fn merge_outcomes(
         timing: SweepTiming::default(),
         fallbacks,
         forked,
+        pruned,
     }
 }
 
@@ -1667,6 +1721,87 @@ mod tests {
         // Every run was served by replay; none with replay disabled.
         assert_eq!(via_replay.replayed, via_replay.runs);
         assert_eq!(via_rerun.replayed, 0);
+    }
+
+    /// Sweep `program` on `threads` workers with and without pruning and
+    /// demand the same verdict, run accounting and fallbacks. Returns the
+    /// checks pruning skipped and how many specs the guard sent back to
+    /// the trace as recorded.
+    fn pruning_changes_only_checks(
+        label: &str,
+        program: impl Fn(&mut Ctx<'_>) + Sync,
+        threads: usize,
+    ) -> (u64, usize) {
+        let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
+        let pruned = sweep(&program, &opts, threads, &ctl, true).unwrap();
+        let full = sweep(&program, &opts, threads, &ctl, false).unwrap();
+        assert_eq!(pruned.report, full.report, "{label}");
+        assert_eq!(pruned.findings, full.findings, "{label}");
+        assert_eq!(
+            (pruned.runs, pruned.replayed, pruned.claims),
+            (full.runs, full.replayed, full.claims),
+            "{label}"
+        );
+        assert_eq!(pruned.quarantined, full.quarantined, "{label}");
+        assert_eq!(pruned.fallbacks, full.fallbacks, "{label}");
+        assert_eq!(full.pruned, 0, "{label}");
+        // Each spec the pruned trace served skipped all its dropped
+        // accesses; the other replay-served specs (but the record pass)
+        // replayed the trace as recorded.
+        let dropped = plan_sweep(&program, &opts, true)
+            .pruned
+            .map_or(0, |t| t.dropped());
+        if dropped == 0 {
+            return (0, 0);
+        }
+        let served = pruned.pruned / dropped;
+        assert_eq!(pruned.pruned, served * dropped, "{label}");
+        (pruned.pruned, pruned.replayed - 1 - served as usize)
+    }
+
+    #[test]
+    fn pruned_sweeps_equal_unpruned_sweeps() {
+        use rader_cilk::synth::{gen_program, run_synth, GenConfig};
+        use rader_workloads::{fig1, suite, Scale};
+        let corpora = [
+            ("plain", GenConfig::default()),
+            (
+                "aliasing",
+                GenConfig {
+                    view_aliasing: true,
+                    reducer_reads: false,
+                    ..GenConfig::default()
+                },
+            ),
+        ];
+        let (mut skipped, mut recorded) = (0, 0);
+        for threads in [1, 3] {
+            for (corpus, cfg) in &corpora {
+                for seed in 0..40u64 {
+                    let prog = gen_program(seed, cfg);
+                    let label = format!("{corpus} seed {seed} threads {threads}");
+                    let (s, r) = pruning_changes_only_checks(
+                        &label,
+                        |cx: &mut Ctx<'_>| {
+                            run_synth(cx, &prog);
+                        },
+                        threads,
+                    );
+                    skipped += s;
+                    recorded += r;
+                }
+            }
+            let mut paper = suite(Scale::Small);
+            paper.push(fig1::workload_racy(Scale::Small));
+            for w in &paper {
+                let label = format!("{} threads {threads}", w.name);
+                let (s, r) = pruning_changes_only_checks(&label, &w.run, threads);
+                skipped += s;
+                recorded += r;
+            }
+        }
+        assert!(skipped > 0, "no sweep pruned a check");
+        assert!(recorded > 0, "the guard never sent a spec back");
     }
 
     #[test]

@@ -51,10 +51,13 @@ use rader_cilk::{BlockOp, BlockScript, RunStats, StealSpec};
 use crate::report::RaceReport;
 
 /// Version of the checkpoint-journal and suite-report schema. Bumped
-/// whenever the journal framing or the suite's JSON field set changes,
-/// so stale checkpoints and stale report consumers are detectable
-/// (`rader json-check` validates it; the journal header embeds it).
-pub const SCHEMA_VERSION: u32 = 2;
+/// whenever the journal framing, the meaning of a journaled field or the
+/// suite's JSON field set changes, so stale checkpoints and stale report
+/// consumers are detectable (`rader json-check` validates it; the journal
+/// header embeds it). Version 3: `checks_delta` and the suite's
+/// `spplus_checks` count only the checks a pruned replay performs
+/// (DESIGN.md §5h), so a version-2 journal's counts must not be mixed in.
+pub const SCHEMA_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"RDRJ";
 const HEADER_LEN: usize = 4 + 4 + 8;
@@ -606,6 +609,30 @@ mod tests {
         let err = load(&path, fp).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
 
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn schema_version_2_journals_are_refused() {
+        // A version-2 journal counts unpruned checks; resuming it would
+        // mix those into a pruned sweep's `spplus_checks`.
+        let dir = std::env::temp_dir().join(format!("rader-journal-v2-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v2.ckpt");
+        let fp = 7;
+        let mut w = JournalWriter::create(&path, fp).unwrap();
+        w.write_chunk(&sample_record(0)).unwrap();
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load(&path, fp).unwrap_err();
+        assert!(err.contains("schema_version 2"), "{err}");
+        assert!(
+            err.contains(&format!("schema_version {SCHEMA_VERSION}")),
+            "{err}"
+        );
+        assert_eq!(SCHEMA_VERSION, 3);
         std::fs::remove_file(&path).unwrap();
     }
 

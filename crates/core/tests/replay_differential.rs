@@ -168,16 +168,33 @@ fn from_scratch(trace: &ProgramTrace, spec: &StealSpec) -> Outcome {
     Ok((tool.report().clone(), tool.checks, stats))
 }
 
-/// Every consecutive same-family pair of a sweep's plan for `program`:
+/// Every consecutive same-family pair of a sweep's plan for `program`,
+/// on its trace and on the pruned copy a sweep replays (DESIGN.md §5h):
 /// replay the first spec to the pair's fork event, copy detector and
 /// checkpoint, finish the copy under the second spec, and compare both
-/// runs with from-scratch replays. Returns (pairs forked mid-trace,
-/// pairs where a replay refused).
-fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize) {
-    let trace = ProgramTrace::record(&program);
+/// runs with from-scratch replays of the same trace. Returns (pairs
+/// forked mid-trace, pairs where a replay refused, of the first those of
+/// the pruned copy).
+fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize, usize) {
+    let mut tool = SpPlus::new();
+    let trace = ProgramTrace::record_with_tool(&mut tool, &program);
     let stats = trace.stats();
     let mut plan = coverage::update_coverage_specs(stats.max_spawn_count.min(8));
     plan.extend(coverage::reduce_coverage_specs(stats.max_sync_block.min(5)));
+    let (forked, refused) = fork_pairs(label, &trace, &plan);
+    let Some(pruned) = trace.pruned(&tool.report().racy_locs()) else {
+        return (forked, refused, 0);
+    };
+    let (pruned_forked, pruned_refused) = fork_pairs(&format!("{label} pruned"), &pruned, &plan);
+    (
+        forked + pruned_forked,
+        refused + pruned_refused,
+        pruned_forked,
+    )
+}
+
+/// [`fork_every_pair`] on one trace.
+fn fork_pairs(label: &str, trace: &ProgramTrace, plan: &[StealSpec]) -> (usize, usize) {
     let (mut forked, mut refused) = (0, 0);
     for pair in plan.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
@@ -187,27 +204,27 @@ fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize
         let mut tool = SpPlus::new();
         let mut ckpt = ReplayCheckpoint::new();
         ckpt.start(a, &mut tool);
-        if let Err(e) = ckpt.advance(&mut tool, &trace, at) {
-            assert_eq!(Err(e), from_scratch(&trace, a), "{label} {a:?}");
+        if let Err(e) = ckpt.advance(&mut tool, trace, at) {
+            assert_eq!(Err(e), from_scratch(trace, a), "{label} {a:?}");
             refused += 1;
             continue;
         }
         let (mut fork_tool, mut fork_ckpt) = (tool.clone(), ckpt.clone());
-        assert!(fork_ckpt.resume_as(&trace, b), "{label}: {a:?} -> {b:?}");
+        assert!(fork_ckpt.resume_as(trace, b), "{label}: {a:?} -> {b:?}");
         let forked_b = fork_ckpt
-            .finish(&mut fork_tool, &trace)
+            .finish(&mut fork_tool, trace)
             .map(|s| (fork_tool.report().clone(), fork_tool.checks, s));
         assert_eq!(
             forked_b,
-            from_scratch(&trace, b),
+            from_scratch(trace, b),
             "{label}: {b:?} forked from {a:?} at event {at} of {}",
             trace.len()
         );
         // Taking the copy leaves the original run as it was.
         let rest_a = ckpt
-            .finish(&mut tool, &trace)
+            .finish(&mut tool, trace)
             .map(|s| (tool.report().clone(), tool.checks, s));
-        assert_eq!(rest_a, from_scratch(&trace, a), "{label}: {a:?}");
+        assert_eq!(rest_a, from_scratch(trace, a), "{label}: {a:?}");
         forked += (0 < at && at < trace.len()) as usize;
         refused += (forked_b.is_err() || rest_a.is_err()) as usize;
     }
@@ -216,8 +233,7 @@ fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize
 
 #[test]
 fn forked_replays_equal_from_scratch_replays() {
-    let mut forked = 0;
-    let mut refused = 0;
+    let (mut forked, mut refused, mut pruned) = (0, 0, 0);
     for (label, cfg) in [
         ("plain", GenConfig::default()),
         (
@@ -231,11 +247,12 @@ fn forked_replays_equal_from_scratch_replays() {
     ] {
         for seed in 0..40u64 {
             let prog = gen_program(seed, &cfg);
-            let (f, r) = fork_every_pair(&format!("{label} seed {seed}"), |cx| {
+            let (f, r, p) = fork_every_pair(&format!("{label} seed {seed}"), |cx| {
                 run_synth(cx, &prog);
             });
             forked += f;
             refused += r;
+            pruned += p;
         }
     }
     let racy = fig1::workload_racy(Scale::Small);
@@ -246,11 +263,13 @@ fn forked_replays_equal_from_scratch_replays() {
         fig1::workload(Scale::Small),
         racy,
     ] {
-        let (f, r) = fork_every_pair(w.name, &w.run);
+        let (f, r, p) = fork_every_pair(w.name, &w.run);
         assert!(f > 0, "{}: no pair forked mid-trace", w.name);
         forked += f;
         refused += r;
+        pruned += p;
     }
     assert!(forked >= 150, "only {forked} pairs forked mid-trace");
+    assert!(pruned > 0, "no pruned trace forked mid-trace");
     assert!(refused > 0, "no divergent program exercised the refusal");
 }

@@ -241,11 +241,12 @@ fn cmd_exhaustive(o: &SweepOpts) {
         }
     };
     outln!(
-        "{} SP+ runs ({} replayed from trace; K = {}, M = {}; \
-         record {}, sweep {} on {} thread(s), merge {}); \
+        "{} SP+ runs ({} replayed from trace, {} access checks pruned; \
+         K = {}, M = {}; record {}, sweep {} on {} thread(s), merge {}); \
          {} specification(s) exposed races:\n",
         sweep.runs,
         sweep.replayed,
+        sweep.pruned,
         sweep.k,
         sweep.m,
         fmt_ms(sweep.timing.record_ns),

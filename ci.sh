@@ -97,16 +97,18 @@ for doc in target/leading-zero.json target/string-schema.json; do
     fi
 done
 
-echo "== forked sweeps: suite JSON identical at --threads 1 and 3 =="
+echo "== forked sweeps: suite JSON identical at --threads 1, 2 and 3 =="
 # Each sweep worker replays a spec from its previous spec's checkpoint;
 # with three workers the previous spec is rarely the adjacent one in plan
-# order. Timings are the only nondeterministic fields; zero them.
+# order. The calling thread is worker 0, so --threads 1 starts no thread
+# and --threads 2 starts one. Timings are the only nondeterministic
+# fields; zero them.
 zero_ns() { sed -E 's/"(wall|record|sweep|merge)_ns": [0-9]+/"\1_ns": 0/g' "$1"; }
 # The --racy suite exits 1 by design; any other status is a failure.
 for racy in "" "--racy"; do
     expect=0
     [ -n "$racy" ] && expect=1
-    for threads in 1 3; do
+    for threads in 1 2 3; do
         status=0
         "$RADER" suite $racy --threads "$threads" --json "target/fork-t$threads.json" >/dev/null || status=$?
         if [ "$status" -ne "$expect" ]; then
@@ -114,7 +116,9 @@ for racy in "" "--racy"; do
             exit 1
         fi
     done
-    diff <(zero_ns target/fork-t1.json) <(zero_ns target/fork-t3.json)
+    for threads in 2 3; do
+        diff <(zero_ns target/fork-t1.json) <(zero_ns "target/fork-t$threads.json")
+    done
 done
 
 echo "== checkpoint smoke: SIGKILL mid-sweep, resume, byte-identical report =="

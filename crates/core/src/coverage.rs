@@ -388,6 +388,11 @@ pub struct ExhaustiveReport {
     pub quarantined: Vec<Quarantined>,
     /// Per-phase wall-clock breakdown of this sweep.
     pub timing: SweepTiming,
+    /// Workers the sweep ran, the calling thread included: the requested
+    /// thread count capped at the chunks left to claim, so 0 when the
+    /// record pass or a resumed journal already served every spec. Not
+    /// serialized.
+    pub workers: usize,
     /// Why replay refused each spec that fell back to re-execution, by
     /// spec index, in spec order. Specs a resumed checkpoint journal
     /// served are not listed: the journal keeps only whether replay
@@ -440,23 +445,25 @@ pub fn exhaustive_check(
     exhaustive_check_parallel(program, opts, 1)
 }
 
-/// As [`exhaustive_check`], but running the independent SP+ sweeps on
-/// `threads` OS threads. The sweep dominates checking cost (Θ(M) + Θ(K³)
-/// serial runs), and the runs share nothing, so this scales nearly
-/// linearly. Findings are returned in deterministic (spec) order: worker
-/// results are index-sorted before merging, so the merged report is
-/// byte-identical across thread counts.
+/// As [`exhaustive_check`], but running the independent SP+ sweeps on up
+/// to `threads` workers: the calling thread plus scoped threads, never
+/// more workers than chunks to claim, so `threads == 1` starts no thread.
+/// The sweep dominates checking cost (Θ(M) + Θ(K³) serial runs), and the
+/// runs share nothing, so this scales nearly linearly. Findings are
+/// returned in deterministic (spec) order: worker results are
+/// index-sorted before merging, so the merged report is byte-identical
+/// across thread counts.
 ///
-/// Threads claim chunks of specs from one shared atomic counter: spec
+/// Workers claim chunks of specs from one shared atomic counter: spec
 /// costs are wildly uneven (an `EveryBlock` reduce triple re-runs the
 /// whole program's reduce machinery; an `AtSpawnCount` update spec may
-/// steal once), so a static partition could leave one thread holding
+/// steal once), so a static partition could leave one worker holding
 /// every expensive spec while the rest idle. The cheap update family is
 /// claimed [`UPDATE_CHUNK`] specs at a time, while every `EveryBlock`
 /// spec remains its own claim so balance is unaffected where it matters.
 /// Each worker pools one [`SpPlus`] instance across all its runs (the
 /// engine's `begin_run` hook resets it in place), so a sweep allocates
-/// O(threads) bag forests, not O(specs).
+/// O(workers) bag forests, not O(specs).
 pub fn exhaustive_check_parallel(
     program: impl Fn(&mut Ctx<'_>) + Sync,
     opts: &CoverageOptions,
@@ -648,11 +655,12 @@ fn sweep(
     let plan = plan_sweep(&program, opts, prune);
     let (done, writer) = open_journal(ctl, &plan)?;
     let sweep_start = Instant::now();
-    let live = claim_chunks(&program, &plan, &done, writer, threads, ctl)?;
+    let (live, workers) = claim_chunks(&program, &plan, &done, writer, threads, ctl)?;
     let sweep_ns = sweep_start.elapsed().as_nanos() as u64;
     let record_ns = plan.record_ns;
     let merge_start = Instant::now();
     let mut report = merge_outcomes(plan, done, live);
+    report.workers = workers;
     report.timing = SweepTiming {
         record_ns,
         sweep_ns,
@@ -700,7 +708,8 @@ impl SweepPlan {
 /// not counted in `runs`. A resumed sweep repeats this pass — the journal
 /// stores only sweep results, and re-recording keeps the trace and stats
 /// exactly as the interrupted run saw them. With `prune`, the pass ends
-/// by pruning the trace against its own report.
+/// by pruning the trace against its own report, unless no spec after the
+/// first is planned.
 fn plan_sweep(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     opts: &CoverageOptions,
@@ -716,12 +725,16 @@ fn plan_sweep(
     } else {
         (None, SerialEngine::new().run(program), None, 0)
     };
+    let (specs, k, m) = plan_specs(&stats, opts);
+    // The record pass serves spec 0, so a plan of `None` alone replays
+    // nothing and needs no pruned copy.
     let pruned = match (&trace, &base) {
-        (Some(trace), Some(report)) if prune => trace.pruned(&report.racy_locs()),
+        (Some(trace), Some(report)) if prune && specs.len() > 1 => {
+            trace.pruned(&report.racy_locs())
+        }
         _ => None,
     };
     let record_ns = record_start.elapsed().as_nanos() as u64;
-    let (specs, k, m) = plan_specs(&stats, opts);
     // Index 0 (StealSpec::None) is already served when the record pass
     // ran as the first detection run.
     let chunks = plan_chunks(&specs, base.is_some() as usize);
@@ -772,14 +785,17 @@ fn open_journal(
     }
 }
 
-/// Sweep every planned chunk the journal does not already hold, on
+/// Sweep every planned chunk the journal does not already hold, on up to
 /// `threads` workers that claim chunks in [`claim_order`] from one shared
-/// counter. A worker claims its next chunk before it sweeps the current
-/// one, so the current chunk's last spec knows which spec follows it and
-/// can leave it a checkpoint (§5g). Each completed chunk is journaled
-/// before it is kept. Workers stop at the budget deadline or after any
-/// journal write error, which is returned. The chunks come back in
-/// completion order; the merge restores spec order.
+/// counter. The calling thread is worker 0; the other workers are scoped
+/// threads, and there are never more workers than chunks left to claim,
+/// so a plan with nothing left to sweep runs no worker at all. A worker
+/// claims its next chunk before it sweeps the current one, so the current
+/// chunk's last spec knows which spec follows it and can leave it a
+/// checkpoint (§5g). Each completed chunk is journaled before it is
+/// kept. Workers stop at the budget deadline or after any journal write
+/// error, which is returned. Returns the chunks in completion order (the
+/// merge restores spec order) and the number of workers that ran.
 fn claim_chunks(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     plan: &SweepPlan,
@@ -787,10 +803,11 @@ fn claim_chunks(
     writer: Option<JournalWriter>,
     threads: usize,
     ctl: &SweepControl,
-) -> Result<Vec<LiveChunk>, String> {
+) -> Result<(Vec<LiveChunk>, usize), String> {
     let order = claim_order(&plan.specs, &plan.chunks, ctl.budget.is_some());
     let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
-    let threads = threads.max(1).min(plan.specs.len().max(1));
+    // `open_journal` admits only records of planned chunks.
+    let workers = threads.max(1).min(order.len() - done.len());
     let writer = writer.map(Mutex::new);
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
@@ -823,9 +840,9 @@ fn claim_chunks(
         local
     };
     let live = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-        let mut all = Vec::new();
-        for h in handles {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let mut all = if workers > 0 { worker() } else { Vec::new() };
+        for h in helpers {
             match h.join() {
                 Ok(local) => all.extend(local),
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -838,7 +855,7 @@ fn claim_chunks(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
     {
         Some(err) => Err(err),
-        None => Ok(live),
+        None => Ok((live, workers)),
     }
 }
 
@@ -930,6 +947,7 @@ fn merge_outcomes(
         uncovered,
         quarantined,
         timing: SweepTiming::default(),
+        workers: 0,
         fallbacks,
         forked,
         pruned,
@@ -1276,26 +1294,28 @@ mod tests {
         assert_eq!(rerun.spplus_checks, base.spplus_checks);
     }
 
+    /// The Figure-1 pattern: a spawned child installs a user cell as the
+    /// view, and the continuation's get_value returns it only when the
+    /// continuation is not stolen, so replay refuses some specs.
+    fn aliased_get_view(cx: &mut Ctx<'_>) {
+        let h = cx.new_reducer(Arc::new(SynthAdd));
+        let cell = cx.alloc(1);
+        for i in 0..3 {
+            cx.spawn(move |cx| {
+                if i == 0 {
+                    cx.reducer_set_view(h, cell);
+                }
+            });
+        }
+        cx.reducer_update(h, &[1]);
+        let v = cx.reducer_get_view(h);
+        let _ = cx.read(v);
+        cx.sync();
+    }
+
     #[test]
     fn fallbacks_keep_why_replay_refused() {
-        // The Figure-1 pattern: a spawned child installs a user cell as
-        // the view, and the continuation's get_value returns it only when
-        // the continuation is not stolen.
-        let program = |cx: &mut Ctx<'_>| {
-            let h = cx.new_reducer(Arc::new(SynthAdd));
-            let cell = cx.alloc(1);
-            for i in 0..3 {
-                cx.spawn(move |cx| {
-                    if i == 0 {
-                        cx.reducer_set_view(h, cell);
-                    }
-                });
-            }
-            cx.reducer_update(h, &[1]);
-            let v = cx.reducer_get_view(h);
-            let _ = cx.read(v);
-            cx.sync();
-        };
+        let program = aliased_get_view;
         let rep = exhaustive_check(program, &CoverageOptions::default());
         assert!(!rep.fallbacks.is_empty(), "no spec fell back");
         assert_eq!(rep.fallbacks.len(), rep.runs - rep.replayed);
@@ -1316,6 +1336,65 @@ mod tests {
         );
         assert!(rerun.fallbacks.is_empty(), "re-execution is not a fallback");
         assert_eq!(rerun.report, rep.report);
+    }
+
+    #[test]
+    fn one_worker_sweeps_run_on_the_calling_thread() {
+        // Every execution of the program, the record pass and each
+        // fallback re-execution alike, notes the thread it ran on.
+        let ran_on = Mutex::new(Vec::new());
+        let program = |cx: &mut Ctx<'_>| {
+            lock(&ran_on).push(std::thread::current().id());
+            aliased_get_view(cx);
+        };
+        let opts = CoverageOptions::default();
+        let one = exhaustive_check_parallel(program, &opts, 1);
+        let ids = std::mem::take(&mut *lock(&ran_on));
+        assert!(!one.fallbacks.is_empty(), "no spec re-executed");
+        assert_eq!(ids.len(), 1 + one.fallbacks.len());
+        let caller = std::thread::current().id();
+        assert!(ids.iter().all(|&id| id == caller), "{ids:?}");
+        assert_eq!(one.workers, 1);
+        let three = exhaustive_check_parallel(program, &opts, 3);
+        assert_eq!(three.report, one.report);
+        assert_eq!(three.findings, one.findings);
+        assert_eq!(
+            (three.claims, three.runs, three.replayed),
+            (one.claims, one.runs, one.replayed)
+        );
+        assert_eq!(three.fallbacks, one.fallbacks);
+        assert_eq!(three.workers, 3);
+        // Never more workers than chunks to claim: the record pass served
+        // spec 0, and every other chunk is one claim.
+        let wide = exhaustive_check_parallel(program, &opts, 16);
+        assert_eq!(wide.workers, wide.claims);
+        assert!(wide.claims < 16, "{} claims", wide.claims);
+        assert_eq!(wide.report, one.report);
+    }
+
+    #[test]
+    fn spawn_free_plans_build_no_pruned_copy() {
+        let program = |cx: &mut Ctx<'_>| {
+            let a = cx.alloc(1);
+            cx.write(a, 1);
+            let _ = cx.read(a);
+        };
+        let opts = CoverageOptions::default();
+        let plan = plan_sweep(&program, &opts, true);
+        assert_eq!(plan.specs, [StealSpec::None]);
+        assert!(plan.chunks.is_empty(), "{:?}", plan.chunks);
+        assert!(plan.pruned.is_none());
+        // The copy would drop the oblivious accesses, had any spec
+        // replayed it.
+        let racy = plan.base.as_ref().unwrap().racy_locs();
+        assert!(plan.trace.as_ref().unwrap().pruned(&racy).is_some());
+        assert_eq!(
+            pruning_changes_only_checks("spawn-free", program, 4),
+            (0, 0)
+        );
+        let rep = exhaustive_check_parallel(program, &opts, 4);
+        assert_eq!((rep.runs, rep.claims, rep.pruned), (1, 0, 0));
+        assert_eq!(rep.workers, 0, "no chunk to claim");
     }
 
     /// Eight spawns, one schedule-independent determinacy race: K = 8,
@@ -1529,6 +1608,9 @@ mod tests {
             // journal and must serve everything from it.
             let resumed = exhaustive_check_parallel_ctl(racy8, &opts, 2, &resume_ctl).unwrap();
             assert_eq!(resumed.report, full.report, "round {round}");
+            if round == 1 {
+                assert_eq!(resumed.workers, 0, "a complete journal leaves no claim");
+            }
             assert_eq!(resumed.findings, full.findings);
             assert_eq!(resumed.runs, full.runs);
             assert_eq!(resumed.replayed, full.replayed);

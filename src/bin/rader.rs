@@ -225,13 +225,12 @@ fn cmd_synth(o: &SynthOpts) {
 
 fn cmd_exhaustive(o: &SweepOpts) {
     let (opts, ctl) = o.configure("fig1-exhaustive", Path::to_path_buf);
-    let threads = o.threads();
     let sweep = match coverage::exhaustive_check_parallel_ctl(
         |cx| {
             fig1::race_program(cx, 12);
         },
         &opts,
-        threads,
+        o.threads(),
         &ctl,
     ) {
         Ok(sweep) => sweep,
@@ -242,7 +241,7 @@ fn cmd_exhaustive(o: &SweepOpts) {
     };
     outln!(
         "{} SP+ runs ({} replayed from trace, {} access checks pruned; \
-         K = {}, M = {}; record {}, sweep {} on {} thread(s), merge {}); \
+         K = {}, M = {}; record {}, sweep {} on {} worker(s), merge {}); \
          {} specification(s) exposed races:\n",
         sweep.runs,
         sweep.replayed,
@@ -251,7 +250,7 @@ fn cmd_exhaustive(o: &SweepOpts) {
         sweep.m,
         fmt_ms(sweep.timing.record_ns),
         fmt_ms(sweep.timing.sweep_ns),
-        threads,
+        sweep.workers,
         fmt_ms(sweep.timing.merge_ns),
         sweep.findings.len()
     );

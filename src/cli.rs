@@ -34,7 +34,8 @@ pub const USAGE: &str = "usage: rader <command> [options]
                                versioned reports, that schema_version
                                matches this binary (CI helper)
 sweep options (suite and exhaustive):
-  --threads N                  sweep threads (default: available parallelism)
+  --threads N                  sweep workers; the calling thread is one
+                               (default: available parallelism)
   --max-k N                    cap the reduce family's sync-block size K
   --max-spawn-count N          cap the update family's spawn count M
   --reexecute                  re-execute the program for every spec instead

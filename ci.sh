@@ -237,4 +237,8 @@ else
     echo "== clippy unavailable; skipping lint check =="
 fi
 
+echo "== rustdoc (every crate, warnings are errors) =="
+# Broken and private intra-doc links are warnings; they fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
+
 echo "CI OK"

@@ -120,6 +120,9 @@ pub(crate) struct EngineState {
     spec: StealSpec,
     /// Cached script for `StealSpec::EveryBlock` (shared across frames).
     every_block: Option<Arc<BlockScript>>,
+    /// Scripts of closed `StealSpec::Random` blocks, for the next blocks to
+    /// refill. Each is unshared; kept across `restart`, never cloned.
+    spare_scripts: Vec<Arc<BlockScript>>,
     frames: Vec<FrameState>,
     /// Stack of live view epochs; the top is the epoch new updates land in.
     epochs: Vec<ViewId>,
@@ -146,6 +149,7 @@ impl Default for EngineState {
             mem: MemArena::new(),
             spec: StealSpec::None,
             every_block: None,
+            spare_scripts: Vec::new(),
             frames: Vec::new(),
             epochs: Vec::new(),
             reducers: Vec::new(),
@@ -231,7 +235,8 @@ impl Clone for EngineState {
         c
     }
 
-    /// Field by field, so a pooled checkpoint reuses its buffers.
+    /// Field by field, so a pooled checkpoint reuses its buffers. The
+    /// script pool is this state's own: `src`'s stays with `src`.
     fn clone_from(&mut self, src: &Self) {
         self.mem.clone_from(&src.mem);
         self.spec.clone_from(&src.spec);
@@ -501,13 +506,15 @@ impl<'t> Ctx<'t> {
     fn sync_internal(&mut self) {
         let fi = self.st.frames.len() - 1;
         // Execute any trailing scripted reduces for this block.
-        if let Some(script) = self.st.frames[fi].script.clone() {
-            let cursor = self.st.frames[fi].cursor;
-            for op in &script.ops()[cursor..] {
-                if matches!(op, BlockOp::Reduce) {
-                    self.do_reduce(fi);
-                }
-            }
+        let f = &self.st.frames[fi];
+        let reduces = f.script.as_deref().map_or(0, |script| {
+            script.ops()[f.cursor..]
+                .iter()
+                .filter(|op| matches!(op, BlockOp::Reduce))
+                .count()
+        });
+        for _ in 0..reduces {
+            self.do_reduce(fi);
         }
         // All remaining parallel views of the block are reduced before the
         // sync strand executes (view invariant 3).
@@ -521,7 +528,15 @@ impl<'t> Ctx<'t> {
         self.new_strand();
         let f = &mut self.st.frames[fi];
         f.ls = 0;
-        f.script = None;
+        if let Some(mut script) = f.script.take() {
+            // Recycle a `Random` block's script unless a checkpoint still
+            // shares it; `EveryBlock`'s shared script is never recycled.
+            if matches!(self.st.spec, StealSpec::Random { .. })
+                && Arc::get_mut(&mut script).is_some()
+            {
+                self.st.spare_scripts.push(script);
+            }
+        }
         f.script_ready = false;
         f.cursor = 0;
     }
@@ -546,39 +561,35 @@ impl<'t> Ctx<'t> {
             self.st.block_seq += 1;
             let script = match &self.st.spec {
                 StealSpec::EveryBlock(_) => self.st.every_block.clone(),
-                other => other.block_script(seq).map(Arc::new),
+                // `Random`: the other families returned above.
+                spec => {
+                    let mut script = self.st.spare_scripts.pop().unwrap_or_default();
+                    spec.refill_random(seq, Arc::make_mut(&mut script));
+                    Some(script)
+                }
             };
             let f = &mut self.st.frames[fi];
             f.script = script;
             f.script_ready = true;
             f.cursor = 0;
         }
-        let Some(script) = self.st.frames[fi].script.clone() else {
+        let f = &self.st.frames[fi];
+        let Some(script) = f.script.as_deref() else {
             return;
         };
-        let cont_idx = self.st.frames[fi].ls;
-        let ops = script.ops();
-        let mut j = self.st.frames[fi].cursor;
-        let mut reduces = 0u32;
-        while j < ops.len() {
-            match ops[j] {
-                BlockOp::Reduce => {
-                    reduces += 1;
-                    j += 1;
-                }
-                BlockOp::Steal(k) => {
-                    if k == cont_idx {
-                        self.st.frames[fi].cursor = j + 1;
-                        for _ in 0..reduces {
-                            self.do_reduce(fi);
-                        }
-                        self.do_steal(fi);
-                    }
-                    return;
-                }
-            }
+        // The reduces the script puts before this continuation's steal.
+        let ops = &script.ops()[f.cursor..];
+        let Some(reduces) = ops.iter().position(|op| *op != BlockOp::Reduce) else {
+            return; // only trailing reduces remain; they execute at the sync
+        };
+        if ops[reduces] != BlockOp::Steal(f.ls) {
+            return;
         }
-        // Only trailing reduces remain; they execute at the sync.
+        self.st.frames[fi].cursor += reduces + 1;
+        for _ in 0..reduces {
+            self.do_reduce(fi);
+        }
+        self.do_steal(fi);
     }
 
     fn do_steal(&mut self, fi: usize) {

@@ -7,7 +7,8 @@
 //! needs to run **once**: [`ProgramTrace::record`] captures its serial
 //! action tree (frame enter/leave, spawn/call/sync structure, memory
 //! accesses, allocations, reducer registrations, and reducer-op operands)
-//! under the no-steal schedule, and [`SerialEngine::replay_tool`] re-feeds
+//! under the no-steal schedule, and
+//! [`SerialEngine::replay_tool`](crate::SerialEngine::replay_tool) re-feeds
 //! that trace to the engine under any [`StealSpec`] without re-running
 //! user closures.
 //!
@@ -395,9 +396,8 @@ struct SharedStreams {
     monoids: Vec<Arc<dyn ViewMonoid>>,
 }
 
-/// A recorded serial action tree, replayable under any [`StealSpec`]
-/// (`crate::StealSpec`) via [`SerialEngine::replay_tool`]
-/// (`crate::SerialEngine::replay_tool`).
+/// A recorded serial action tree, replayable under any [`StealSpec`] via
+/// [`SerialEngine::replay_tool`](crate::SerialEngine::replay_tool).
 ///
 /// The trace holds the user-level event stream, the pooled reducer-update
 /// operands, the registered monoids (shared `Arc`s, so replays on many

@@ -162,25 +162,43 @@ impl StealSpec {
         match self {
             StealSpec::None | StealSpec::AtSpawnCount(_) => None,
             StealSpec::EveryBlock(s) => Some(s.clone()),
-            StealSpec::Random {
-                seed,
-                max_block,
-                steals_per_block,
-            } => {
-                let m = (*max_block).max(1);
-                let want = (*steals_per_block).min(m) as usize;
-                let mut picks: Vec<u32> = Vec::with_capacity(want);
-                let mut salt = 0u64;
-                while picks.len() < want {
-                    let h = hash_pair(*seed ^ salt.wrapping_mul(0x9e37_79b9), block_seq);
-                    let idx = (h % m as u64) as u32 + 1;
-                    if !picks.contains(&idx) {
-                        picks.push(idx);
-                    }
-                    salt += 1;
-                }
-                Some(BlockScript::steals(picks))
+            StealSpec::Random { .. } => {
+                let mut script = BlockScript::default();
+                self.refill_random(block_seq, &mut script);
+                Some(script)
             }
+        }
+    }
+
+    /// For [`StealSpec::Random`]: overwrite `script` with block
+    /// `block_seq`'s steals, reusing its buffer. The engine refills a
+    /// recycled script per sync block; [`StealSpec::block_script`] fills a
+    /// fresh one.
+    pub(crate) fn refill_random(&self, block_seq: u64, script: &mut BlockScript) {
+        let &StealSpec::Random {
+            seed,
+            max_block,
+            steals_per_block,
+        } = self
+        else {
+            unreachable!("refill_random on a non-Random spec");
+        };
+        let m = max_block.max(1);
+        let want = steals_per_block.min(m) as usize;
+        let ops = &mut script.ops;
+        ops.clear();
+        let mut salt = 0u64;
+        while ops.len() < want {
+            let h = hash_pair(seed ^ salt.wrapping_mul(0x9e37_79b9), block_seq);
+            let idx = (h % m as u64) as u32 + 1;
+            // Kept sorted and distinct, as `BlockScript::steals` would.
+            if let Err(at) = ops.binary_search_by_key(&idx, |op| match *op {
+                BlockOp::Steal(i) => i,
+                BlockOp::Reduce => unreachable!("Random scripts only steal"),
+            }) {
+                ops.insert(at, BlockOp::Steal(idx));
+            }
+            salt += 1;
         }
     }
 
@@ -258,6 +276,91 @@ mod tests {
             steals_per_block: 5,
         };
         assert_eq!(spec.block_script(0).unwrap().steal_count(), 2);
+    }
+
+    /// The steal indices of `spec`'s scripts for blocks `0..n`.
+    fn picks(spec: &StealSpec, n: u64) -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|b| {
+                let s = spec.block_script(b).unwrap();
+                s.ops()
+                    .iter()
+                    .map(|op| match *op {
+                        BlockOp::Steal(i) => i,
+                        BlockOp::Reduce => panic!("Random scripts only steal"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn random(seed: u64, max_block: u32, steals_per_block: u32) -> StealSpec {
+        StealSpec::Random {
+            seed,
+            max_block,
+            steals_per_block,
+        }
+    }
+
+    #[test]
+    fn random_picks_are_pinned() {
+        // The picks of the first eight blocks, as the hash-pick loop drew
+        // them before scripts were refilled in place. Sweeps, journals and
+        // the Figure-7 "Check reductions" column all depend on them.
+        assert_eq!(
+            picks(&random(0x7ade7, 10, 3), 8),
+            [
+                [3, 5, 8],
+                [2, 5, 10],
+                [3, 5, 8],
+                [5, 6, 8],
+                [4, 7, 9],
+                [1, 2, 6],
+                [7, 8, 9],
+                [1, 2, 10],
+            ]
+        );
+        assert_eq!(
+            picks(&random(42, 100, 3), 8),
+            [
+                [2, 72, 100],
+                [19, 47, 65],
+                [8, 66, 94],
+                [29, 41, 55],
+                [22, 76, 80],
+                [23, 43, 69],
+                [12, 70, 90],
+                [33, 37, 59],
+            ]
+        );
+        // `max_block: 0` draws from `1..=1`; more steals than continuations
+        // steal every one; no steals leaves the script empty.
+        assert!(picks(&random(1, 0, 3), 8).iter().all(|p| p == &[1]));
+        assert!(picks(&random(5, 2, 5), 8).iter().all(|p| p == &[1, 2]));
+        assert!(picks(&random(9, 6, 6), 8)
+            .iter()
+            .all(|p| p == &[1, 2, 3, 4, 5, 6]));
+        assert!(picks(&random(3, 5, 0), 8).iter().all(|p| p.is_empty()));
+    }
+
+    #[test]
+    fn refilling_a_used_script_matches_a_fresh_one() {
+        // A recycled script may be longer than the next block's, and hold
+        // another spec's picks.
+        let mut script = BlockScript::new(vec![
+            BlockOp::Steal(1),
+            BlockOp::Reduce,
+            BlockOp::Steal(4),
+            BlockOp::Steal(9),
+            BlockOp::Reduce,
+            BlockOp::Steal(12),
+        ]);
+        for spec in [random(0x7ade7, 10, 3), random(42, 100, 3), random(5, 2, 5)] {
+            for b in 0..8 {
+                spec.refill_random(b, &mut script);
+                assert_eq!(Some(&script), spec.block_script(b).as_ref());
+            }
+        }
     }
 
     #[test]

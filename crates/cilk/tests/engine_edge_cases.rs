@@ -232,3 +232,108 @@ fn frame_depth_statistic() {
     let stats = SerialEngine::new().run(|cx| rec(cx, 17));
     assert_eq!(stats.max_frame_depth, 18); // root + 17 calls
 }
+
+#[test]
+fn random_blocks_fire_their_scripts_while_outer_blocks_stay_open() {
+    /// Per sync block, the continuation indices whose steals fired.
+    /// Blocks are numbered in the order their first spawned child
+    /// returns, as the engine numbers them.
+    #[derive(Default)]
+    struct BlockSteals {
+        /// One open block per live frame: spawns so far, number, steals.
+        open: Vec<(u32, Option<u64>, Vec<u32>)>,
+        next_seq: u64,
+        /// `(number, spawns, fired steals)` of every numbered block.
+        closed: Vec<(u64, u32, Vec<u32>)>,
+    }
+    impl rader_cilk::Tool for BlockSteals {
+        fn frame_enter(&mut self, _: rader_cilk::FrameId, kind: rader_cilk::EnterKind) {
+            if kind == rader_cilk::EnterKind::Spawn {
+                self.open.last_mut().expect("spawn has a parent").0 += 1;
+            }
+            self.open.push((0, None, Vec::new()));
+        }
+        fn frame_leave(&mut self, _: rader_cilk::FrameId, kind: rader_cilk::EnterKind) {
+            self.open.pop();
+            if kind == rader_cilk::EnterKind::Spawn {
+                let parent = self.open.last_mut().expect("spawn has a parent");
+                if parent.1.is_none() {
+                    parent.1 = Some(self.next_seq);
+                    self.next_seq += 1;
+                }
+            }
+        }
+        fn stolen_continuation(&mut self, _: rader_cilk::FrameId, _: rader_cilk::ViewId) {
+            let block = self.open.last_mut().expect("steal in a frame");
+            block.2.push(block.0);
+        }
+        fn sync(&mut self, _: rader_cilk::FrameId) {
+            let block = self.open.last_mut().expect("sync in a frame");
+            if let Some(seq) = block.1.take() {
+                self.closed
+                    .push((seq, block.0, std::mem::take(&mut block.2)));
+            }
+            block.0 = 0;
+        }
+    }
+
+    /// Two sync blocks per frame of 3 to 5 spawns each, spawns nested
+    /// `depth` deep; every leaf adds 1 to `h`. A child's blocks run while
+    /// its parent's block (numbered once its first child returned) is
+    /// open, so they refill scripts recycled from earlier siblings.
+    fn tree(cx: &mut rader_cilk::Ctx<'_>, h: rader_cilk::ReducerId, depth: u32, salt: u32) {
+        if depth == 0 {
+            cx.reducer_update(h, &[1]);
+            return;
+        }
+        for block in 0..2 {
+            let n = 3 + (salt + block) % 3;
+            for i in 0..n {
+                cx.spawn(move |cx| tree(cx, h, depth - 1, salt * 7 + i + block));
+            }
+            cx.sync();
+        }
+    }
+
+    let spec = StealSpec::Random {
+        seed: 0x7ade7,
+        max_block: 5,
+        steals_per_block: 3,
+    };
+    let mut tool = BlockSteals::default();
+    let mut sum = 0;
+    let stats = SerialEngine::with_spec(spec.clone()).run_tool(&mut tool, |cx| {
+        let h = cx.new_reducer(Arc::new(SynthAdd));
+        tree(cx, h, 3, 0);
+        let v = cx.reducer_get_view(h);
+        sum = cx.read(v);
+    });
+    // Every inner frame (the root among them) closed two numbered blocks.
+    let leaves = stats.frames - tool.closed.len() as u64 / 2;
+    assert_eq!(
+        sum as u64, leaves,
+        "every leaf's update survives the reduces"
+    );
+    assert_eq!(tool.closed.len() as u64, tool.next_seq);
+    let mut fired = 0;
+    let mut short = 0;
+    for (seq, spawns, steals) in &tool.closed {
+        let script = spec.block_script(*seq).expect("Random scripts every block");
+        let want: Vec<u32> = script
+            .ops()
+            .iter()
+            .filter_map(|op| match *op {
+                rader_cilk::BlockOp::Steal(i) if i <= *spawns => Some(i),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steals, &want, "block {seq} with {spawns} spawns");
+        fired += steals.len() as u64;
+        short += usize::from(want.len() < script.steal_count());
+    }
+    assert_eq!(fired, stats.steals);
+    assert!(
+        short > 0 && short < tool.closed.len(),
+        "some but not all blocks are shorter than their picks"
+    );
+}

@@ -9,7 +9,7 @@
 //! flag; `main` prints it and exits 2.
 //!
 //! `suite` and `exhaustive` share their sweep flags: one match arm per
-//! flag in [`SweepOpts::take_flag`], one [`SweepOpts`] value carried from
+//! flag in `SweepOpts::take_flag`, one [`SweepOpts`] value carried from
 //! argv to the sweep, and one conversion ([`SweepOpts::configure`]) into
 //! the sweep's [`CoverageOptions`] and [`SweepControl`].
 

@@ -9,7 +9,7 @@
 //! This module replaces that with the paper's actual pipeline:
 //!
 //! 1. **One instrumented Peer-Set run** per workload. `run_tool` returns
-//!    the engine's [`RunStats`], so this run doubles as the statistics
+//!    the engine's [`RunStats`](rader_cilk::RunStats), so this run doubles as the statistics
 //!    pass (the old separate uninstrumented run was pure waste) and
 //!    yields the view-read verdict.
 //! 2. **The Section-7 exhaustive SP+ sweep**

@@ -97,12 +97,12 @@ for doc in target/leading-zero.json target/string-schema.json; do
     fi
 done
 
-echo "== forked sweeps: suite JSON identical at --threads 1, 2 and 3 =="
-# Each sweep worker replays a spec from its previous spec's checkpoint;
-# with three workers the previous spec is rarely the adjacent one in plan
-# order. The calling thread is worker 0, so --threads 1 starts no thread
-# and --threads 2 starts one. Timings are the only nondeterministic
-# fields; zero them.
+echo "== forked sweeps: suite JSON identical at --threads 1, 2 and 3, walked or chained =="
+# Each sweep worker replays a spec from a checkpoint of its trie parent
+# or of its previous spec; with three workers the previous spec is rarely
+# the adjacent one in plan order. The calling thread is worker 0, so
+# --threads 1 starts no thread and --threads 2 starts one. Timings are
+# the only nondeterministic fields; zero them.
 zero_ns() { sed -E 's/"(wall|record|sweep|merge)_ns": [0-9]+/"\1_ns": 0/g' "$1"; }
 # The --racy suite exits 1 by design; any other status is a failure.
 for racy in "" "--racy"; do
@@ -119,6 +119,17 @@ for racy in "" "--racy"; do
     for threads in 2 3; do
         diff <(zero_ns target/fork-t1.json) <(zero_ns "target/fork-t$threads.json")
     done
+    # A budget keeps every sweep on the chain of plan order, while the
+    # plain runs above walk the reduce family as a trie where that
+    # replays fewer events (DESIGN.md §5g); both must reach the same
+    # report.
+    status=0
+    "$RADER" suite $racy --threads 2 --budget 1e6 --json target/fork-chain.json >/dev/null || status=$?
+    if [ "$status" -ne "$expect" ]; then
+        echo "ERROR: suite $racy --budget 1e6 exited $status, expected $expect" >&2
+        exit 1
+    fi
+    diff <(zero_ns target/fork-t1.json) <(zero_ns target/fork-chain.json)
 done
 
 echo "== checkpoint smoke: SIGKILL mid-sweep, resume, byte-identical report =="

@@ -114,7 +114,8 @@ pub struct SweepControl {
     /// uncovered spec families enumerated. Claims are reordered by
     /// marginal coverage — update family first, then reduce triples,
     /// then pairs/singletons — so the time that *is* spent buys the
-    /// broadest families.
+    /// broadest families. A budgeted sweep therefore never walks the
+    /// reduce family as a trie (DESIGN.md §5g).
     pub budget: Option<Duration>,
     /// Deterministically inject panics at spec boundaries (testing the
     /// quarantine and journaling machinery).
@@ -226,101 +227,161 @@ fn plan_specs(stats: &RunStats, opts: &CoverageOptions) -> (Vec<StealSpec>, u32,
     (specs, k, m)
 }
 
-/// A sweep worker's pooled detector state: the running replay in one
-/// slot and, in the other, a copy of it taken at the event where the next
-/// spec's schedule forks from the running one's (DESIGN.md §5g). The
-/// engine's `begin_run` hook resets the running tool in place for a
-/// from-scratch run, so a sweep reuses one bag forest and one shadow
+/// A detector and the replay feeding it: one of a sweep worker's slots
+/// (DESIGN.md §5g). The engine's `begin_run` hook resets the tool in place
+/// for a from-scratch run, so a sweep reuses one bag forest and one shadow
 /// space per slot across all its runs instead of allocating fresh ones
 /// per spec.
 #[derive(Default)]
-struct Pool {
+struct Slot {
     tool: SpPlus,
     replay: ReplayCheckpoint,
-    fork_tool: SpPlus,
-    fork_replay: ReplayCheckpoint,
-    /// The spec index the second slot was copied for, if it holds a copy.
-    fork_for: Option<usize>,
 }
 
-impl Pool {
-    /// Make the second slot the running one if it holds spec `i`'s
-    /// checkpoint. True if it did: spec `i` then replays only the events
-    /// after the fork, and the running tool already counts the prefix's
-    /// checks.
-    fn take_fork(&mut self, i: usize, trace: &ProgramTrace, spec: &StealSpec) -> bool {
-        if self.fork_for.take() != Some(i) || !self.fork_replay.resume_as(trace, spec) {
-            return false;
-        }
-        std::mem::swap(&mut self.tool, &mut self.fork_tool);
-        std::mem::swap(&mut self.replay, &mut self.fork_replay);
-        true
-    }
+/// What a worker walks, from one spec on (DESIGN.md §5g).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Unit {
+    /// Specs `spec..end` of one chunk, in plan order: a chain, in which
+    /// each spec forks from the one before it.
+    Run { spec: usize, end: usize },
+    /// A spec of the walked reduce family and its trie subtree.
+    Tree(usize),
+}
 
-    /// Replay `spec` to the end: from the running slot's checkpoint when
-    /// `resumed`, else from the first event. On the way, copy the running
-    /// slot to the other at the fork event with `next`, spec index and
-    /// spec, when there is one ahead.
-    fn replay(
-        &mut self,
-        trace: &ProgramTrace,
-        spec: &StealSpec,
-        resumed: bool,
-        next: Option<(usize, &StealSpec)>,
-    ) -> Result<(), ReplayError> {
-        if !resumed {
-            self.replay.start(spec, &mut self.tool);
+impl Unit {
+    fn spec(self) -> usize {
+        match self {
+            Unit::Run { spec, .. } | Unit::Tree(spec) => spec,
         }
-        // A fork the running replay has already passed is lost: the next
-        // spec then starts from scratch.
-        let fork = next.and_then(|(n, next)| {
-            let at = trace.fork_event(spec, next)?;
-            (at > 0 && at >= self.replay.event()).then_some((n, at))
-        });
-        if let Some((n, at)) = fork {
-            self.replay.advance(&mut self.tool, trace, at)?;
-            self.fork_tool.clone_from(&self.tool);
-            self.fork_replay.clone_from(&self.replay);
-            self.fork_for = Some(n);
-        }
-        self.replay.finish(&mut self.tool, trace).map(drop)
     }
 }
 
-/// Run SP+ under a spec, preferring trace replay when the plan has a
-/// trace: its pruned copy first, if there is one (DESIGN.md §5h), the
-/// trace as recorded when a view-aware access reaches memory whose
-/// accesses the copy dropped, and re-execution of the program if replay
-/// reports divergence. Returns the report, why replay refused for a
-/// fallback, and the checks pruning skipped.
-fn sweep_one(
-    program: &(impl Fn(&mut Ctx<'_>) + Sync),
-    plan: &SweepPlan,
-    spec: &StealSpec,
-    resumed: bool,
-    next: Option<(usize, &StealSpec)>,
-    pool: &mut Pool,
-) -> (RaceReport, Option<ReplayError>, u64) {
-    let mut refused = None;
-    if let Some(trace) = &plan.trace {
-        let first = plan.pruned.as_ref().unwrap_or(trace);
-        let mut result = pool.replay(first, spec, resumed, next);
-        let mut skipped = first.dropped();
-        if let Err(ReplayError::PrunedAllocation { .. }) = result {
-            // From the first event and without a fork copy: the other
-            // slot's copy, if it holds one, stays on the pruned trace.
-            result = pool.replay(trace, spec, false, None);
-            skipped = 0;
+/// The `EveryBlock` specs of a plan as a trie: a script's parent is the
+/// script without its last steal and the reduces before it, so `[a]`
+/// parents `[a, b]`, which parents `[a, b, Reduce, c]`. A child's replay
+/// equals its parent's up to their fork event.
+struct Trie {
+    /// Every spec's children, in fork-event order, spec after spec: spec
+    /// `i`'s are `kids[first[i]..first[i + 1]]`.
+    kids: Vec<usize>,
+    first: Vec<usize>,
+    /// The parentless specs (the singletons), largest subtree first.
+    roots: Vec<usize>,
+}
+
+impl Trie {
+    /// The trie of `specs`' `EveryBlock` family, or `None` if it has no
+    /// edge.
+    fn new(specs: &[StealSpec], trace: &ProgramTrace) -> Option<Trie> {
+        let script = |i: usize| match &specs[i] {
+            StealSpec::EveryBlock(script) => script.ops(),
+            _ => &[],
+        };
+        // Scripts compare as their steal indices, with a reduce as 0.
+        let order = |a: &[BlockOp], b: &[BlockOp]| {
+            let key = |op: &BlockOp| match *op {
+                BlockOp::Steal(k) => k,
+                BlockOp::Reduce => 0,
+            };
+            a.iter().map(key).cmp(b.iter().map(key))
+        };
+        let mut family: Vec<usize> = (0..specs.len())
+            .filter(|&i| matches!(specs[i], StealSpec::EveryBlock(_)))
+            .collect();
+        family.sort_unstable_by(|&a, &b| order(script(a), script(b)));
+        let (mut edges, mut roots) = (Vec::new(), Vec::new());
+        for &i in &family {
+            let ops = script(i);
+            let mut cut = ops
+                .iter()
+                .rposition(|op| matches!(op, BlockOp::Steal(_)))
+                .unwrap_or(0);
+            while cut > 0 && ops[cut - 1] == BlockOp::Reduce {
+                cut -= 1;
+            }
+            match family.binary_search_by(|&j| order(script(j), &ops[..cut])) {
+                Ok(p) => {
+                    let parent = family[p];
+                    edges.push((parent, trace.fork_event(&specs[parent], &specs[i]), i));
+                }
+                Err(_) => roots.push(i),
+            }
         }
-        match result {
-            Ok(()) => return (pool.tool.take_report(), None, skipped),
-            // Divergence: this spec's schedule makes the recorded stream
-            // unreliable (see `rader_cilk::replay`); re-execute honestly.
-            Err(e) => refused = Some(e),
+        if edges.is_empty() {
+            return None;
         }
+        edges.sort_unstable();
+        let mut first = vec![0; specs.len() + 1];
+        for &(parent, ..) in &edges {
+            first[parent + 1] += 1;
+        }
+        for i in 0..specs.len() {
+            first[i + 1] += first[i];
+        }
+        let kids = edges.into_iter().map(|(.., kid)| kid).collect();
+        let mut trie = Trie {
+            kids,
+            first,
+            roots: Vec::new(),
+        };
+        roots.sort_by_key(|&root| std::cmp::Reverse(trie.size(root)));
+        trie.roots = roots;
+        Some(trie)
     }
-    SerialEngine::with_spec(spec.clone()).run_tool(&mut pool.tool, program);
-    (pool.tool.take_report(), refused, 0)
+
+    /// Spec `i`'s children, in fork-event order.
+    fn kids(&self, i: usize) -> &[usize] {
+        &self.kids[self.first[i]..self.first[i + 1]]
+    }
+
+    /// The number of specs in `i`'s subtree.
+    fn size(&self, i: usize) -> usize {
+        1 + self
+            .kids(i)
+            .iter()
+            .map(|&kid| self.size(kid))
+            .sum::<usize>()
+    }
+
+    /// `root` and its descendants.
+    fn subtree(&self, root: usize) -> Vec<usize> {
+        let mut nodes = vec![root];
+        let mut next = 0;
+        while let Some(&i) = nodes.get(next) {
+            nodes.extend(self.kids(i));
+            next += 1;
+        }
+        nodes
+    }
+}
+
+/// Why a spec's replay stopped before its last event.
+enum Failure {
+    /// Replay refused; the spec falls back as [`Walker::finish`] says.
+    Refused(ReplayError),
+    /// The run unwound, with this payload; `true` if the fault was
+    /// injected by spec index.
+    Panicked(Box<dyn std::any::Any + Send>, bool),
+}
+
+/// What a worker counts beyond its chunk records.
+#[derive(Default)]
+struct Tally {
+    fallbacks: Vec<(usize, ReplayError)>,
+    forked: usize,
+    scratch: usize,
+    pruned: u64,
+    events: u64,
+}
+
+impl Tally {
+    fn add(&mut self, mut other: Tally) {
+        self.fallbacks.append(&mut other.fallbacks);
+        self.forked += other.forked;
+        self.scratch += other.scratch;
+        self.pruned += other.pruned;
+        self.events += other.events;
+    }
 }
 
 /// Wall-clock cost of each phase of an exhaustive sweep, in nanoseconds.
@@ -362,10 +423,11 @@ pub struct ExhaustiveReport {
     pub k: u32,
     /// Measured maximum spawn count `M`.
     pub m: u32,
-    /// Chunk claims the sweep performed: the number of units of work
-    /// handed out to its threads (cheap specs are claimed in batches, so
-    /// `claims < runs` whenever chunking amortized the shared counter).
-    /// A pure function of the spec list — identical across thread counts.
+    /// Chunks in the sweep's plan (DESIGN.md §5d): cheap specs are claimed
+    /// in batches, so `claims < runs` whenever chunking amortized the
+    /// shared counter. A walked subtree is one claim of several chunks,
+    /// and counts each. A pure function of the spec list — identical
+    /// across thread counts.
     pub claims: usize,
     /// Total SP+ access checks performed across every run of the sweep
     /// (including the record pass and any divergence fallbacks).
@@ -389,19 +451,29 @@ pub struct ExhaustiveReport {
     /// Per-phase wall-clock breakdown of this sweep.
     pub timing: SweepTiming,
     /// Workers the sweep ran, the calling thread included: the requested
-    /// thread count capped at the chunks left to claim, so 0 when the
-    /// record pass or a resumed journal already served every spec. Not
-    /// serialized.
+    /// thread count capped at the claim units left (DESIGN.md §5d), so 0
+    /// when the record pass or a resumed journal already served every
+    /// spec. Not serialized.
     pub workers: usize,
     /// Why replay refused each spec that fell back to re-execution, by
     /// spec index, in spec order. Specs a resumed checkpoint journal
     /// served are not listed: the journal keeps only whether replay
     /// served them. Not serialized.
     pub fallbacks: Vec<(usize, ReplayError)>,
-    /// Specs this sweep replayed from a predecessor's checkpoint rather
-    /// than from the first event (DESIGN.md §5g). Depends on how the
-    /// threads interleaved, so it is not serialized.
+    /// Specs this sweep replayed from a copy of another spec's replay
+    /// rather than from the first event: their trie parent's in a walked
+    /// reduce family, else the previous spec's on the same worker
+    /// (DESIGN.md §5g). Depends on how the threads interleaved, so it is
+    /// not serialized.
     pub forked: usize,
+    /// Specs this sweep replayed from the first event. With `forked`, the
+    /// specs whose replay this sweep began; a spec quarantined by an
+    /// injected fault never begins one. Not serialized.
+    pub scratch: usize,
+    /// Events this sweep's replays fed, refused attempts included, which
+    /// count up to the event they were asked to reach. Depends on how the
+    /// threads interleaved, so it is not serialized.
+    pub replayed_events: u64,
     /// Access checks this sweep skipped by replaying the record pass's
     /// pruned trace (DESIGN.md §5h): its dropped accesses, once per spec
     /// it served. Specs a resumed checkpoint journal served are not
@@ -460,10 +532,11 @@ pub fn exhaustive_check(
 /// steal once), so a static partition could leave one worker holding
 /// every expensive spec while the rest idle. The cheap update family is
 /// claimed [`UPDATE_CHUNK`] specs at a time, while every `EveryBlock`
-/// spec remains its own claim so balance is unaffected where it matters.
-/// Each worker pools one [`SpPlus`] instance across all its runs (the
-/// engine's `begin_run` hook resets it in place), so a sweep allocates
-/// O(workers) bag forests, not O(specs).
+/// spec is its own chunk, claimed alone or with the rest of its trie
+/// subtree when the sweep walks the reduce family (DESIGN.md §5d, §5g).
+/// Each worker pools one [`SpPlus`] instance per checkpoint slot across
+/// all its runs (the engine's `begin_run` hook resets it in place), so a
+/// sweep allocates O(workers) bag forests, not O(specs).
 pub fn exhaustive_check_parallel(
     program: impl Fn(&mut Ctx<'_>) + Sync,
     opts: &CoverageOptions,
@@ -532,87 +605,266 @@ fn minimize_panicking_spec(
     StealSpec::EveryBlock(BlockScript::new(ops))
 }
 
-/// A chunk swept by this process: its journal record, plus what the
-/// journal does not keep.
-struct LiveChunk {
-    record: ChunkRecord,
-    fallbacks: Vec<(usize, ReplayError)>,
-    forked: usize,
-    pruned: u64,
+/// A sweep worker: its slots, and the chunk records and counts of the
+/// specs it swept.
+///
+/// It walks each claimed [`Unit`] depth first (DESIGN.md §5g). A spec
+/// runs in the slot of its depth. Its replay pauses at each child's fork
+/// event, leaves the child a copy in the next slot, and waits while the
+/// child's subtree runs there. Its last child, its *tail*, gets a copy
+/// too but runs only after the spec has finished, in the spec's own slot.
+/// In a chain, each spec's only child is that tail; at depth 0, a unit's
+/// last spec takes the worker's next claim as its tail. A spec runs from
+/// event 0 when its parent's replay passed the fork event, refused, or
+/// panicked before reaching it.
+struct Walker<'a, P> {
+    program: &'a P,
+    plan: &'a SweepPlan,
+    faults: &'a FaultPlan,
+    journal: Option<&'a Mutex<JournalWriter>>,
+    journal_err: &'a Mutex<Option<String>>,
+    slots: Vec<Slot>,
+    /// Chunks some of whose specs are still to come.
+    open: Vec<ChunkRecord>,
+    records: Vec<ChunkRecord>,
+    tally: Tally,
 }
 
-/// Sweep one chunk of specs with a worker's pool, isolating per-spec
-/// panics: an unwinding run (misbehaving monoid body, or an injected
-/// panic) is caught, the spec is quarantined with its payload
-/// and a minimized reproducer, and the running tool is retired for a
-/// fresh one (its detection state is suspect after an unwind; its check
-/// count — deterministic even for the partial run — is kept). `then` is
-/// the first spec of the worker's next chunk, which the chunk's last
-/// spec forks for.
-fn sweep_chunk(
-    program: &(impl Fn(&mut Ctx<'_>) + Sync),
-    plan: &SweepPlan,
-    chunk_index: usize,
-    then: Option<usize>,
-    pool: &mut Pool,
-    faults: &FaultPlan,
-) -> LiveChunk {
-    let (start, end) = plan.chunks[chunk_index];
-    let specs = &plan.specs;
-    let trace = plan.replays();
-    let mut checks = 0;
-    let mut outcomes = Vec::with_capacity(end - start);
-    let (mut fallbacks, mut forked, mut pruned) = (Vec::new(), 0, 0);
-    for (i, spec) in (start..end).zip(&specs[start..end]) {
-        let injected = faults.panic_at.contains(&i);
-        let next = if i + 1 < end { Some(i + 1) } else { then };
-        let next = next.map(|n| (n, &specs[n]));
-        // Each spec's checks are counted from zero, or from the prefix's
-        // when it resumes from a checkpoint.
-        pool.tool.checks = 0;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if injected {
-                panic!("injected fault at spec {i}");
+impl<P: Fn(&mut Ctx<'_>) + Sync> Walker<'_, P> {
+    /// Sweep `unit` from depth `d`, its replay resuming from slot `d`'s
+    /// copy when `resumed`, then follow its tails; at depth 0, go on with
+    /// each unit `claim` hands out until it hands out none.
+    fn visit(
+        &mut self,
+        mut unit: Unit,
+        d: usize,
+        mut resumed: bool,
+        mut claim: Option<&mut dyn FnMut() -> Option<Unit>>,
+    ) {
+        let plan = self.plan;
+        loop {
+            let (rest, tail) = plan.kids(unit);
+            let tail = tail.or_else(|| claim.as_mut().and_then(|claim| claim()));
+            let copied = self.sweep_spec(unit.spec(), d, resumed, rest, tail.map(Unit::spec));
+            let Some(tail) = tail else {
+                return;
+            };
+            if copied {
+                self.slots.swap(d, d + 1);
             }
-            let resumed = trace.is_some_and(|t| pool.take_fork(i, t, spec));
-            forked += resumed as usize;
-            sweep_one(program, plan, spec, resumed, next, pool)
-        }));
-        checks += pool.tool.checks;
-        match result {
-            Ok((report, refused, skipped)) => {
-                pruned += skipped;
-                if let Some(e) = refused {
-                    fallbacks.push((i, e));
-                }
-                outcomes.push(SpecOutcome::Checked {
-                    report,
-                    replayed: refused.is_none() && trace.is_some(),
-                });
-            }
-            Err(payload) => {
-                pool.tool = SpPlus::new();
-                let spec = spec.clone();
-                let minimized = minimize_panicking_spec(program, &spec, injected);
-                outcomes.push(SpecOutcome::Quarantined {
-                    spec,
-                    payload: payload_to_string(payload.as_ref()),
-                    minimized,
-                });
-            }
+            (unit, resumed) = (tail, copied);
         }
     }
-    LiveChunk {
-        record: ChunkRecord {
-            chunk_index,
-            spec_start: start,
-            spec_end: end,
-            checks_delta: checks,
-            outcomes,
-        },
-        fallbacks,
-        forked,
-        pruned,
+
+    /// Sweep spec `i` in slot `d`: from the slot's copy when `resumed`,
+    /// else from event 0. The replay stops at each of `rest`'s fork events
+    /// to walk that child's subtree from a copy in slot `d + 1`, then
+    /// leaves `tail` a copy there, then finishes. Returns whether slot
+    /// `d + 1` holds `tail`'s copy.
+    ///
+    /// Panics are isolated per spec: an unwinding run (misbehaving monoid
+    /// body, or an injected panic) quarantines the spec with its payload
+    /// and a minimized reproducer, and retires the slot's tool for a fresh
+    /// one (its detection state is suspect after an unwind; its check
+    /// count, deterministic even for the partial run, is kept).
+    fn sweep_spec(
+        &mut self,
+        i: usize,
+        d: usize,
+        resumed: bool,
+        rest: &[usize],
+        tail: Option<usize>,
+    ) -> bool {
+        let plan = self.plan;
+        if self.slots.len() <= d {
+            self.slots.resize_with(d + 1, Slot::default);
+        }
+        let mut failure = None;
+        // Each spec's checks are counted from zero, or from the prefix's
+        // when it resumes from a copy.
+        if self.faults.panic_at.contains(&i) {
+            self.slots[d].tool.checks = 0;
+            let payload = catch_unwind(|| panic!("injected fault at spec {i}")).unwrap_err();
+            failure = Some(Failure::Panicked(payload, true));
+        } else if resumed {
+            self.tally.forked += 1;
+        } else {
+            let slot = &mut self.slots[d];
+            slot.tool.checks = 0;
+            if plan.trace.is_some() {
+                self.tally.scratch += 1;
+                slot.replay.start(&plan.specs[i], &mut slot.tool);
+            }
+        }
+        for &kid in rest {
+            let copied = failure.is_none() && self.fork(i, d, kid, &mut failure);
+            self.visit(Unit::Tree(kid), d + 1, copied, None);
+        }
+        let copied = failure.is_none() && tail.is_some_and(|t| self.fork(i, d, t, &mut failure));
+        self.settle(i, d, failure);
+        copied
+    }
+
+    /// Advance spec `i`'s replay in slot `d` to its fork event with `kid`
+    /// and copy the slot into slot `d + 1` for `kid`. False, and slot
+    /// `d + 1` untouched, if the replay has passed that event, or if it
+    /// refused or panicked on the way there, which `failure` then keeps.
+    fn fork(&mut self, i: usize, d: usize, kid: usize, failure: &mut Option<Failure>) -> bool {
+        let plan = self.plan;
+        let Some(trace) = plan.replays() else {
+            return false;
+        };
+        let Some(at) = plan.fork_at(trace, i, self.slots[d].replay.event(), kid) else {
+            return false;
+        };
+        match catch_unwind(AssertUnwindSafe(|| self.feed(d, trace, at))) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                *failure = Some(Failure::Refused(e));
+                return false;
+            }
+            Err(payload) => {
+                *failure = Some(Failure::Panicked(payload, false));
+                return false;
+            }
+        }
+        if self.slots.len() <= d + 1 {
+            self.slots.push(Slot::default());
+        }
+        let (run, copy) = self.slots.split_at_mut(d + 1);
+        copy[0].tool.clone_from(&run[d].tool);
+        copy[0].replay.clone_from(&run[d].replay);
+        copy[0].replay.resume_as(trace, &plan.specs[kid])
+    }
+
+    /// Feed slot `d`'s replay the events of `trace` up to `stop`, counting
+    /// them.
+    fn feed(&mut self, d: usize, trace: &ProgramTrace, stop: usize) -> Result<(), ReplayError> {
+        let slot = &mut self.slots[d];
+        let from = slot.replay.event();
+        self.tally.events += stop.min(trace.len()).saturating_sub(from) as u64;
+        slot.replay.advance(&mut slot.tool, trace, stop)
+    }
+
+    /// Finish spec `i` in slot `d` after `failure`, if any, and record its
+    /// outcome.
+    fn settle(&mut self, i: usize, d: usize, failure: Option<Failure>) {
+        let refused = match failure {
+            Some(Failure::Panicked(payload, injected)) => {
+                return self.quarantine(i, d, payload, injected)
+            }
+            Some(Failure::Refused(e)) => Some(e),
+            None => None,
+        };
+        match catch_unwind(AssertUnwindSafe(|| self.finish(i, d, refused))) {
+            Ok((report, refused, skipped)) => {
+                self.tally.pruned += skipped;
+                if let Some(e) = refused {
+                    self.tally.fallbacks.push((i, e));
+                }
+                let replayed = refused.is_none() && self.plan.trace.is_some();
+                let checks = self.slots[d].tool.checks;
+                self.record(i, SpecOutcome::Checked { report, replayed }, checks);
+            }
+            Err(payload) => self.quarantine(i, d, payload, false),
+        }
+    }
+
+    /// Quarantine spec `i`, whose run in slot `d` unwound with `payload`,
+    /// and retire the slot's tool.
+    fn quarantine(
+        &mut self,
+        i: usize,
+        d: usize,
+        payload: Box<dyn std::any::Any + Send>,
+        injected: bool,
+    ) {
+        let checks = self.slots[d].tool.checks;
+        self.slots[d].tool = SpPlus::new();
+        let spec = self.plan.specs[i].clone();
+        let minimized = minimize_panicking_spec(self.program, &spec, injected);
+        let payload = payload_to_string(payload.as_ref());
+        let outcome = SpecOutcome::Quarantined {
+            spec,
+            payload,
+            minimized,
+        };
+        self.record(i, outcome, checks);
+    }
+
+    /// Run spec `i` in slot `d` to the end, preferring trace replay when
+    /// the plan has a trace: its pruned copy first, if there is one
+    /// (DESIGN.md §5h), the trace as recorded when a view-aware access
+    /// reaches memory whose accesses the copy dropped, and re-execution of
+    /// the program if replay reports divergence. `refused` is why the
+    /// replay already stopped, if it did. Returns the report, why replay
+    /// refused for a fallback, and the checks pruning skipped.
+    fn finish(
+        &mut self,
+        i: usize,
+        d: usize,
+        mut refused: Option<ReplayError>,
+    ) -> (RaceReport, Option<ReplayError>, u64) {
+        let plan = self.plan;
+        let spec = &plan.specs[i];
+        if let (Some(trace), Some(first)) = (&plan.trace, plan.replays()) {
+            let mut result = match refused {
+                Some(e) => Err(e),
+                None => self.feed(d, first, first.len()),
+            };
+            let mut skipped = first.dropped();
+            if let Err(ReplayError::PrunedAllocation { .. }) = result {
+                // From the first event: a copy slot `d + 1` holds stays on
+                // the pruned trace.
+                let slot = &mut self.slots[d];
+                slot.replay.start(spec, &mut slot.tool);
+                result = self.feed(d, trace, trace.len());
+                skipped = 0;
+            }
+            match result {
+                Ok(()) => return (self.slots[d].tool.take_report(), None, skipped),
+                // Divergence: this spec's schedule makes the recorded
+                // stream unreliable (see `rader_cilk::replay`); re-execute
+                // honestly.
+                Err(e) => refused = Some(e),
+            }
+        }
+        let tool = &mut self.slots[d].tool;
+        SerialEngine::with_spec(spec.clone()).run_tool(tool, self.program);
+        (tool.take_report(), refused, 0)
+    }
+
+    /// Keep spec `i`'s outcome and checks in its chunk's record, and
+    /// journal the record once the chunk's last spec is in.
+    fn record(&mut self, i: usize, outcome: SpecOutcome, checks: u64) {
+        let c = self.plan.chunk_of(i);
+        let pos = match self.open.iter().position(|r| r.chunk_index == c) {
+            Some(pos) => pos,
+            None => {
+                let (start, end) = self.plan.chunks[c];
+                self.open.push(ChunkRecord {
+                    chunk_index: c,
+                    spec_start: start,
+                    spec_end: end,
+                    checks_delta: 0,
+                    outcomes: Vec::with_capacity(end - start),
+                });
+                self.open.len() - 1
+            }
+        };
+        let rec = &mut self.open[pos];
+        rec.checks_delta += checks;
+        rec.outcomes.push(outcome);
+        if rec.outcomes.len() < rec.spec_end - rec.spec_start {
+            return;
+        }
+        let rec = self.open.swap_remove(pos);
+        if let Some(w) = self.journal {
+            if let Err(e) = lock(w).write_chunk(&rec) {
+                *lock(self.journal_err) = Some(e);
+            }
+        }
+        self.records.push(rec);
     }
 }
 
@@ -640,26 +892,28 @@ pub fn exhaustive_check_parallel_ctl(
     threads: usize,
     ctl: &SweepControl,
 ) -> Result<ExhaustiveReport, String> {
-    sweep(program, opts, threads, ctl, true)
+    sweep(program, opts, threads, ctl, true, true)
 }
 
 /// [`exhaustive_check_parallel_ctl`], replaying every spec but the first
-/// from a pruned trace when `prune` is set.
+/// from a pruned trace when `prune` is set, and walking the reduce family
+/// as a trie when `walk` is set and [`plan_sweep`]'s rule chooses to.
 fn sweep(
     program: impl Fn(&mut Ctx<'_>) + Sync,
     opts: &CoverageOptions,
     threads: usize,
     ctl: &SweepControl,
     prune: bool,
+    walk: bool,
 ) -> Result<ExhaustiveReport, String> {
-    let plan = plan_sweep(&program, opts, prune);
+    let plan = plan_sweep(&program, opts, prune, walk);
     let (done, writer) = open_journal(ctl, &plan)?;
     let sweep_start = Instant::now();
-    let (live, workers) = claim_chunks(&program, &plan, &done, writer, threads, ctl)?;
+    let (live, tally, workers) = claim_chunks(&program, &plan, &done, writer, threads, ctl)?;
     let sweep_ns = sweep_start.elapsed().as_nanos() as u64;
     let record_ns = plan.record_ns;
     let merge_start = Instant::now();
-    let mut report = merge_outcomes(plan, done, live);
+    let mut report = merge_outcomes(plan, done, live, tally);
     report.workers = workers;
     report.timing = SweepTiming {
         record_ns,
@@ -671,7 +925,7 @@ fn sweep(
 
 /// Everything a sweep fixes before its first claim: the recorded trace
 /// and its pruned copy (replay mode only), the spec list and its chunk
-/// plan, and the outcome of the record pass.
+/// plan, the trie walk, if it walks, and the outcome of the record pass.
 struct SweepPlan {
     trace: Option<ProgramTrace>,
     /// The trace without the accesses the record pass settled, if it
@@ -684,6 +938,8 @@ struct SweepPlan {
     k: u32,
     m: u32,
     chunks: Vec<(usize, usize)>,
+    /// The reduce family's trie, if the sweep walks it (DESIGN.md §5g).
+    trie: Option<Trie>,
     /// The record pass's report, which serves spec 0 in replay mode.
     base: Option<RaceReport>,
     base_checks: u64,
@@ -695,6 +951,132 @@ impl SweepPlan {
     /// one, else the trace as recorded.
     fn replays(&self) -> Option<&ProgramTrace> {
         self.pruned.as_ref().or(self.trace.as_ref())
+    }
+
+    /// The index of the chunk holding spec `i`.
+    fn chunk_of(&self, i: usize) -> usize {
+        self.chunks.partition_point(|&(start, _)| start <= i) - 1
+    }
+
+    /// Where spec `kid` can start from a copy of spec `i`'s replay, which
+    /// is at event `pos`: their fork event, unless the replay has passed
+    /// it, or it is the first event.
+    fn fork_at(&self, trace: &ProgramTrace, i: usize, pos: usize, kid: usize) -> Option<usize> {
+        let at = trace.fork_event(&self.specs[i], &self.specs[kid])?;
+        (at > 0 && at >= pos).then_some(at)
+    }
+
+    /// The children `unit`'s spec hands a copy to while its replay is
+    /// paused, and its tail, the child that runs after it, if the unit has
+    /// one.
+    fn kids(&self, unit: Unit) -> (&[usize], Option<Unit>) {
+        match unit {
+            Unit::Run { spec, end } => (
+                &[],
+                (spec + 1 < end).then_some(Unit::Run {
+                    spec: spec + 1,
+                    end,
+                }),
+            ),
+            Unit::Tree(i) => match self
+                .trie
+                .as_ref()
+                .map_or(&[][..], |t| t.kids(i))
+                .split_last()
+            {
+                Some((&tail, rest)) => (rest, Some(Unit::Tree(tail))),
+                None => (&[], None),
+            },
+        }
+    }
+
+    /// What the sweep's workers claim, in claim order: every chunk not in
+    /// `done` as a [`Unit::Run`], in [`claim_order`] (`prioritize` is
+    /// whether a budget reorders it), then, when `walk` and the plan has a
+    /// trie, each root's subtree as a [`Unit::Tree`], largest first. A
+    /// subtree `done` holds part of becomes runs of its other chunks, in
+    /// plan order.
+    fn units(
+        &self,
+        done: &BTreeMap<usize, ChunkRecord>,
+        walk: bool,
+        prioritize: bool,
+    ) -> Vec<Unit> {
+        let trie = self.trie.as_ref().filter(|_| walk);
+        let walked = |c: usize| {
+            trie.is_some() && matches!(self.specs[self.chunks[c].0], StealSpec::EveryBlock(_))
+        };
+        let run = |c: usize| {
+            let (spec, end) = self.chunks[c];
+            Unit::Run { spec, end }
+        };
+        let mut units: Vec<Unit> = claim_order(&self.specs, &self.chunks, prioritize)
+            .into_iter()
+            .filter(|&c| !done.contains_key(&c) && !walked(c))
+            .map(run)
+            .collect();
+        let Some(trie) = trie else {
+            return units;
+        };
+        for &root in &trie.roots {
+            if done.is_empty() {
+                units.push(Unit::Tree(root));
+                continue;
+            }
+            let mut chunks: Vec<usize> = (trie.subtree(root).into_iter())
+                .map(|i| self.chunk_of(i))
+                .collect();
+            if chunks.iter().any(|c| done.contains_key(c)) {
+                chunks.sort_unstable();
+                chunks.retain(|c| !done.contains_key(c));
+                units.extend(chunks.into_iter().map(run));
+            } else {
+                units.push(Unit::Tree(root));
+            }
+        }
+        units
+    }
+
+    /// Events the sweep's replays feed at one thread, with no journal,
+    /// fault or refusal, when it claims `units` in order: for each spec,
+    /// the trace's length less the event it starts from. Mirrors
+    /// [`Walker::visit`].
+    fn planned_events(&self, units: &[Unit]) -> u64 {
+        let Some(trace) = self.replays() else {
+            return 0;
+        };
+        let mut claims = units.iter().copied();
+        claims.next().map_or(0, |first| {
+            self.walk_events(trace, first, 0, Some(&mut claims))
+        })
+    }
+
+    /// [`SweepPlan::planned_events`] of `unit` from event `start` on.
+    fn walk_events(
+        &self,
+        trace: &ProgramTrace,
+        mut unit: Unit,
+        mut start: usize,
+        mut claims: Option<&mut dyn Iterator<Item = Unit>>,
+    ) -> u64 {
+        let mut events = 0;
+        loop {
+            let i = unit.spec();
+            let (rest, tail) = self.kids(unit);
+            let tail = tail.or_else(|| claims.as_mut().and_then(|c| c.next()));
+            events += (trace.len() - start) as u64;
+            let mut pos = start;
+            for &kid in rest {
+                let at = self.fork_at(trace, i, pos, kid);
+                pos = at.unwrap_or(pos);
+                events += self.walk_events(trace, Unit::Tree(kid), at.unwrap_or(0), None);
+            }
+            let Some(tail) = tail else {
+                return events;
+            };
+            start = self.fork_at(trace, i, pos, tail.spec()).unwrap_or(0);
+            unit = tail;
+        }
     }
 }
 
@@ -710,10 +1092,15 @@ impl SweepPlan {
 /// exactly as the interrupted run saw them. With `prune`, the pass ends
 /// by pruning the trace against its own report, unless no spec after the
 /// first is planned.
+///
+/// With `walk`, the plan walks the reduce family as a trie (DESIGN.md
+/// §5g) when the chain of plan order would replay at least one whole
+/// trace more events than the walk.
 fn plan_sweep(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     opts: &CoverageOptions,
     prune: bool,
+    walk: bool,
 ) -> SweepPlan {
     let record_start = Instant::now();
     let (trace, stats, base, base_checks) = if opts.replay {
@@ -738,7 +1125,7 @@ fn plan_sweep(
     // Index 0 (StealSpec::None) is already served when the record pass
     // ran as the first detection run.
     let chunks = plan_chunks(&specs, base.is_some() as usize);
-    SweepPlan {
+    let mut plan = SweepPlan {
         trace,
         pruned,
         stats,
@@ -746,10 +1133,25 @@ fn plan_sweep(
         k,
         m,
         chunks,
+        trie: None,
         base,
         base_checks,
         record_ns,
+    };
+    // Below four continuations the rule cannot choose the walk: it saves
+    // the events before the first continuation 2 at `K = 3`, and none
+    // below (`coverage::tests::small_families_keep_the_chain`).
+    if let Some(trace) = plan.replays().filter(|_| walk && k >= 4) {
+        let len = trace.len() as u64;
+        plan.trie = Trie::new(&plan.specs, trace);
+        let none = BTreeMap::new();
+        let chain = plan.planned_events(&plan.units(&none, false, false));
+        let walked = plan.planned_events(&plan.units(&none, true, false));
+        if chain < walked + len {
+            plan.trie = None;
+        }
     }
+    plan
 }
 
 /// Open the checkpoint journal `ctl` asks for. Returns the chunks a
@@ -786,16 +1188,16 @@ fn open_journal(
 }
 
 /// Sweep every planned chunk the journal does not already hold, on up to
-/// `threads` workers that claim chunks in [`claim_order`] from one shared
+/// `threads` workers that claim [`SweepPlan::units`] from one shared
 /// counter. The calling thread is worker 0; the other workers are scoped
-/// threads, and there are never more workers than chunks left to claim,
+/// threads, and there are never more workers than units left to claim,
 /// so a plan with nothing left to sweep runs no worker at all. A worker
-/// claims its next chunk before it sweeps the current one, so the current
-/// chunk's last spec knows which spec follows it and can leave it a
-/// checkpoint (§5g). Each completed chunk is journaled before it is
-/// kept. Workers stop at the budget deadline or after any journal write
-/// error, which is returned. Returns the chunks in completion order (the
-/// merge restores spec order) and the number of workers that ran.
+/// claims its next unit when it starts the current unit's last spec, so
+/// that spec can leave the next one a copy (§5g). Each completed chunk is
+/// journaled before it is kept. Workers stop claiming at the budget
+/// deadline or after any journal write error, which is returned. Returns
+/// the chunks in completion order (the merge restores spec order), the
+/// workers' summed counts, and the number of workers that ran.
 fn claim_chunks(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
     plan: &SweepPlan,
@@ -803,59 +1205,62 @@ fn claim_chunks(
     writer: Option<JournalWriter>,
     threads: usize,
     ctl: &SweepControl,
-) -> Result<(Vec<LiveChunk>, usize), String> {
-    let order = claim_order(&plan.specs, &plan.chunks, ctl.budget.is_some());
+) -> Result<(Vec<ChunkRecord>, Tally, usize), String> {
+    // A budget keeps the chain, so the claim order's family priority holds.
+    let budget = ctl.budget.is_some();
+    let units = plan.units(done, !budget, budget);
     let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
-    // `open_journal` admits only records of planned chunks.
-    let workers = threads.max(1).min(order.len() - done.len());
+    let workers = threads.max(1).min(units.len());
     let writer = writer.map(Mutex::new);
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
-    let claim = || loop {
-        let slot = next.fetch_add(1, Ordering::Relaxed);
-        let c = *order.get(slot)?;
-        if !done.contains_key(&c) {
-            return Some(c); // else already served by the journal
-        }
-    };
     let worker = || {
-        let mut pool = Pool::default();
-        let mut local = Vec::new();
-        let mut cur = claim();
-        while let Some(c) = cur {
+        let mut claim = || {
             if deadline.is_some_and(|d| Instant::now() >= d) || lock(&journal_err).is_some() {
-                break;
+                return None;
             }
-            cur = claim();
-            let then = cur.map(|n| plan.chunks[n].0);
-            let live = sweep_chunk(program, plan, c, then, &mut pool, &ctl.faults);
-            if let Some(w) = &writer {
-                if let Err(e) = lock(w).write_chunk(&live.record) {
-                    *lock(&journal_err) = Some(e);
-                    break;
-                }
-            }
-            local.push(live);
+            units.get(next.fetch_add(1, Ordering::Relaxed)).copied()
+        };
+        let mut walker = Walker {
+            program,
+            plan,
+            faults: &ctl.faults,
+            journal: writer.as_ref(),
+            journal_err: &journal_err,
+            slots: Vec::new(),
+            open: Vec::new(),
+            records: Vec::new(),
+            tally: Tally::default(),
+        };
+        if let Some(first) = claim() {
+            walker.visit(first, 0, false, Some(&mut claim));
         }
-        local
+        (walker.records, walker.tally)
     };
-    let live = std::thread::scope(|scope| {
+    let (live, tally) = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-        let mut all = if workers > 0 { worker() } else { Vec::new() };
+        let (mut all, mut tally) = if workers > 0 {
+            worker()
+        } else {
+            (Vec::new(), Tally::default())
+        };
         for h in helpers {
             match h.join() {
-                Ok(local) => all.extend(local),
+                Ok((records, t)) => {
+                    all.extend(records);
+                    tally.add(t);
+                }
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        all
+        (all, tally)
     });
     match journal_err
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
     {
         Some(err) => Err(err),
-        None => Ok((live, workers)),
+        None => Ok((live, tally, workers)),
     }
 }
 
@@ -866,7 +1271,8 @@ fn claim_chunks(
 fn merge_outcomes(
     plan: SweepPlan,
     done: BTreeMap<usize, ChunkRecord>,
-    mut live: Vec<LiveChunk>,
+    live: Vec<ChunkRecord>,
+    mut tally: Tally,
 ) -> ExhaustiveReport {
     let SweepPlan {
         specs,
@@ -879,15 +1285,8 @@ fn merge_outcomes(
     } = plan;
     let mut slots: Vec<Option<SpecOutcome>> = (0..specs.len()).map(|_| None).collect();
     let mut checks = base_checks;
-    let mut fallbacks = Vec::new();
-    let (mut forked, mut pruned) = (0, 0);
-    for chunk in &mut live {
-        fallbacks.append(&mut chunk.fallbacks);
-        forked += chunk.forked;
-        pruned += chunk.pruned;
-    }
-    fallbacks.sort_unstable_by_key(|&(i, _)| i);
-    for rec in done.into_values().chain(live.into_iter().map(|c| c.record)) {
+    tally.fallbacks.sort_unstable_by_key(|&(i, _)| i);
+    for rec in done.into_values().chain(live) {
         checks += rec.checks_delta;
         let start = rec.spec_start;
         for (off, outcome) in rec.outcomes.into_iter().enumerate() {
@@ -948,9 +1347,11 @@ fn merge_outcomes(
         quarantined,
         timing: SweepTiming::default(),
         workers: 0,
-        fallbacks,
-        forked,
-        pruned,
+        fallbacks: tally.fallbacks,
+        forked: tally.forked,
+        scratch: tally.scratch,
+        replayed_events: tally.events,
+        pruned: tally.pruned,
     }
 }
 
@@ -1380,7 +1781,7 @@ mod tests {
             let _ = cx.read(a);
         };
         let opts = CoverageOptions::default();
-        let plan = plan_sweep(&program, &opts, true);
+        let plan = plan_sweep(&program, &opts, true, true);
         assert_eq!(plan.specs, [StealSpec::None]);
         assert!(plan.chunks.is_empty(), "{:?}", plan.chunks);
         assert!(plan.pruned.is_none());
@@ -1815,8 +2216,8 @@ mod tests {
         threads: usize,
     ) -> (u64, usize) {
         let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
-        let pruned = sweep(&program, &opts, threads, &ctl, true).unwrap();
-        let full = sweep(&program, &opts, threads, &ctl, false).unwrap();
+        let pruned = sweep(&program, &opts, threads, &ctl, true, true).unwrap();
+        let full = sweep(&program, &opts, threads, &ctl, false, true).unwrap();
         assert_eq!(pruned.report, full.report, "{label}");
         assert_eq!(pruned.findings, full.findings, "{label}");
         assert_eq!(
@@ -1830,7 +2231,7 @@ mod tests {
         // Each spec the pruned trace served skipped all its dropped
         // accesses; the other replay-served specs (but the record pass)
         // replayed the trace as recorded.
-        let dropped = plan_sweep(&program, &opts, true)
+        let dropped = plan_sweep(&program, &opts, true, true)
             .pruned
             .map_or(0, |t| t.dropped());
         if dropped == 0 {
@@ -1884,6 +2285,262 @@ mod tests {
         }
         assert!(skipped > 0, "no sweep pruned a check");
         assert!(recorded > 0, "the guard never sent a spec back");
+    }
+
+    /// Sweep `program` on `threads` workers walking the reduce family
+    /// where the plan's rule chooses to, and keeping the chain throughout,
+    /// and demand the same verdict, accounting, quarantine and fallbacks.
+    /// Returns whether the plan walked.
+    fn walking_changes_nothing_reported(
+        label: &str,
+        program: impl Fn(&mut Ctx<'_>) + Sync,
+        threads: usize,
+        ctl: &SweepControl,
+    ) -> bool {
+        let opts = CoverageOptions::default();
+        let walked = sweep(&program, &opts, threads, ctl, true, true).unwrap();
+        let chain = sweep(&program, &opts, threads, ctl, true, false).unwrap();
+        assert_eq!(walked.report, chain.report, "{label}");
+        assert_eq!(walked.findings, chain.findings, "{label}");
+        assert_eq!(
+            (walked.runs, walked.replayed, walked.claims),
+            (chain.runs, chain.replayed, chain.claims),
+            "{label}"
+        );
+        assert_eq!(walked.spplus_checks, chain.spplus_checks, "{label}");
+        assert_eq!(walked.quarantined, chain.quarantined, "{label}");
+        assert_eq!(walked.fallbacks, chain.fallbacks, "{label}");
+        assert_eq!(walked.pruned, chain.pruned, "{label}");
+        plan_sweep(&program, &opts, true, true).trie.is_some()
+    }
+
+    /// Synth seeds whose programs have a sync block of at least four
+    /// spawns, so their reduce family has triples under pairs, in the
+    /// default corpus and in the aliasing one (whose replays refuse some
+    /// specs).
+    const WALKED_SYNTH: [(bool, u64); 8] = [
+        (false, 671),
+        (false, 843),
+        (false, 1170),
+        (false, 1654),
+        (true, 281),
+        (true, 491),
+        (true, 843),
+        (true, 2482),
+    ];
+
+    #[test]
+    fn walked_sweeps_equal_chain_sweeps() {
+        use rader_cilk::synth::{gen_program, run_synth, GenConfig};
+        use rader_workloads::{fig1, suite, Scale};
+        let ctl = SweepControl::default();
+        let mut walks = 0;
+        for threads in [1, 2, 3] {
+            for (aliasing, seed) in WALKED_SYNTH {
+                let cfg = GenConfig {
+                    view_aliasing: aliasing,
+                    reducer_reads: !aliasing,
+                    ..GenConfig::default()
+                };
+                let prog = gen_program(seed, &cfg);
+                let program = |cx: &mut Ctx<'_>| {
+                    run_synth(cx, &prog);
+                };
+                let label = format!("synth seed {seed} aliasing {aliasing} threads {threads}");
+                assert!(ProgramTrace::record(program).stats().max_sync_block >= 4);
+                walks += walking_changes_nothing_reported(&label, program, threads, &ctl) as usize;
+            }
+            let mut paper = suite(Scale::Small);
+            paper.push(fig1::workload_racy(Scale::Small));
+            for w in &paper {
+                let label = format!("{} threads {threads}", w.name);
+                walks += walking_changes_nothing_reported(&label, &w.run, threads, &ctl) as usize;
+            }
+        }
+        // Every synth program above walks; so do collision, ferret, fib,
+        // knapsack and pbfs of the paper suite.
+        assert_eq!(walks, 3 * (WALKED_SYNTH.len() + 5));
+    }
+
+    /// For a `program` whose plan keeps the chain: its `K`, the events
+    /// walking its reduce family would save, which must be fewer than one
+    /// trace, and the events before its first continuation 2.
+    fn saved_by_walking(program: impl Fn(&mut Ctx<'_>) + Sync) -> (u32, u64, u64) {
+        let mut plan = plan_sweep(&program, &CoverageOptions::default(), true, true);
+        assert!(plan.trie.is_none(), "K = {} walks", plan.k);
+        plan.trie = Trie::new(&plan.specs, plan.replays().unwrap());
+        let none = BTreeMap::new();
+        let walk = plan.planned_events(&plan.units(&none, true, false));
+        let chain = plan.planned_events(&plan.units(&none, false, false));
+        let trace = plan.replays().unwrap();
+        let one = StealSpec::EveryBlock(BlockScript::steals(vec![1]));
+        let two = StealSpec::EveryBlock(BlockScript::steals(vec![1, 2]));
+        let before_two = trace.fork_event(&one, &two).unwrap() as u64;
+        let saved = chain - walk;
+        assert!(saved < trace.len() as u64);
+        (plan.k, saved, before_two)
+    }
+
+    #[test]
+    fn small_families_keep_the_chain() {
+        use rader_workloads::{dedup, fig1, Scale};
+        let (k, saved, before_two) = saved_by_walking(&dedup::workload(Scale::Small).run);
+        assert_eq!((k, saved), (3, before_two));
+        let (k, saved, before_two) = saved_by_walking(aliased_get_view);
+        assert_eq!((k, saved), (3, before_two));
+        let (k, saved, _) = saved_by_walking(&fig1::workload_racy(Scale::Small).run);
+        assert_eq!((k, saved), (2, 0));
+    }
+
+    #[test]
+    fn replayed_events_equal_the_planned_walk() {
+        use rader_workloads::{fib, Scale};
+        let w = fib::workload(Scale::Small);
+        let opts = CoverageOptions::default();
+        let plan = plan_sweep(&w.run, &opts, true, true);
+        assert!(plan.trie.is_some(), "fib does not walk");
+        let none = BTreeMap::new();
+        let walk = plan.planned_events(&plan.units(&none, true, false));
+        let chain = plan.planned_events(&plan.units(&none, false, false));
+        assert!(walk < chain, "walk {walk} >= chain {chain}");
+        let ctl = SweepControl::default();
+        let walked = sweep(&w.run, &opts, 1, &ctl, true, true).unwrap();
+        assert_eq!(walked.replayed_events, walk);
+        let chained = sweep(&w.run, &opts, 1, &ctl, true, false).unwrap();
+        assert_eq!(chained.replayed_events, chain);
+        for rep in [&walked, &chained] {
+            // The record pass served spec 0; every other spec replayed.
+            assert_eq!(rep.forked + rep.scratch, rep.runs - 1);
+        }
+        // Of the reduce family, only the singletons start from event 0 in
+        // the walk.
+        let updates = CoverageOptions {
+            max_k: Some(0),
+            ..opts
+        };
+        let updates = sweep(&w.run, &updates, 1, &ctl, true, true).unwrap();
+        assert_eq!(walked.scratch, updates.scratch + walked.k as usize);
+        assert!(chained.scratch > walked.scratch);
+    }
+
+    /// Record a journal of `program`'s walked sweep at one thread, cut it
+    /// after its first `keep` records, and return its path.
+    fn cut_journal(
+        name: &str,
+        program: impl Fn(&mut Ctx<'_>) + Sync,
+        keep: usize,
+    ) -> std::path::PathBuf {
+        let path = temp_journal(name);
+        let ctl = SweepControl {
+            checkpoint: CheckpointPolicy::Record(path.clone()),
+            ..SweepControl::default()
+        };
+        exhaustive_check_parallel_ctl(program, &CoverageOptions::default(), 1, &ctl).unwrap();
+        // Header, then per record `u32 len | u64 checksum | payload`.
+        let bytes = std::fs::read(&path).unwrap();
+        let mut end = 16;
+        for _ in 0..keep {
+            let len = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
+            end += 12 + len;
+        }
+        std::fs::write(&path, &bytes[..end]).unwrap();
+        path
+    }
+
+    #[test]
+    fn journal_cut_inside_a_walked_subtree_resumes_byte_identical() {
+        use rader_workloads::{fib, Scale};
+        let w = fib::workload(Scale::Small);
+        let opts = CoverageOptions::default();
+        let full = exhaustive_check(&w.run, &opts);
+        let plan = plan_sweep(&w.run, &opts, true, true);
+        let trie = plan.trie.as_ref().expect("fib walks");
+        // At one thread the update family's chunks come first, then the
+        // largest subtree; keep all of those but its last three specs.
+        let updates = (plan.chunks.iter())
+            .filter(|c| matches!(plan.specs[c.0], StealSpec::AtSpawnCount(_)))
+            .count();
+        let keep = updates + trie.subtree(trie.roots[0]).len() - 3;
+        let path = cut_journal("walk-cut", &w.run, keep);
+        let fp = journal::fingerprint("", &plan.stats, &plan.specs, &plan.chunks);
+        let done = journal::load(&path, fp).unwrap().chunks;
+        let units = plan.units(&done, true, false);
+        // The cut subtree's last three specs run through the chain, the
+        // other subtrees stay whole.
+        assert!(matches!(
+            units[..3],
+            [Unit::Run { .. }, Unit::Run { .. }, Unit::Run { .. }]
+        ));
+        assert_eq!(units.len(), 3 + trie.roots.len() - 1, "{units:?}");
+        let kept: usize = done.values().map(|r| r.spec_end - r.spec_start).sum();
+        for threads in [1, 2] {
+            let copy = temp_journal(&format!("walk-cut-{threads}"));
+            std::fs::copy(&path, &copy).unwrap();
+            let ctl = SweepControl {
+                checkpoint: CheckpointPolicy::Resume(copy.clone()),
+                ..SweepControl::default()
+            };
+            let resumed = exhaustive_check_parallel_ctl(&w.run, &opts, threads, &ctl).unwrap();
+            assert_eq!(resumed.report, full.report, "threads {threads}");
+            assert_eq!(format!("{}", resumed.report), format!("{}", full.report));
+            assert_eq!(resumed.findings, full.findings);
+            assert_eq!(
+                (
+                    resumed.runs,
+                    resumed.replayed,
+                    resumed.claims,
+                    resumed.spplus_checks
+                ),
+                (full.runs, full.replayed, full.claims, full.spplus_checks)
+            );
+            assert_eq!(resumed.quarantined, full.quarantined);
+            assert_eq!(
+                resumed.forked + resumed.scratch,
+                plan.specs.len() - 1 - kept
+            );
+            std::fs::remove_file(&copy).unwrap();
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn injected_panic_at_a_walked_pair_quarantines_only_that_pair() {
+        use rader_workloads::{fib, Scale};
+        let w = fib::workload(Scale::Small);
+        let opts = CoverageOptions::default();
+        let plan = plan_sweep(&w.run, &opts, true, true);
+        let trie = plan.trie.as_ref().expect("fib walks");
+        let pair = trie.kids(trie.roots[0])[0];
+        let triples = trie.kids(pair).len();
+        assert!(triples >= 2, "the pair has {triples} triples");
+        let full = exhaustive_check(&w.run, &opts);
+        let ctl = SweepControl {
+            faults: FaultPlan {
+                panic_at: [pair].into(),
+            },
+            ..SweepControl::default()
+        };
+        for threads in [1, 2, 3] {
+            let rep = exhaustive_check_parallel_ctl(&w.run, &opts, threads, &ctl).unwrap();
+            let q: Vec<_> = rep
+                .quarantined
+                .iter()
+                .map(|q| (q.spec_index, &q.spec))
+                .collect();
+            assert_eq!(q, [(pair, &plan.specs[pair])], "threads {threads}");
+            assert!(!rep.partial);
+            assert_eq!(rep.runs + 1, full.runs, "the pair's triples were swept");
+            if threads == 1 {
+                // The pair forked from its singleton; its triples, which
+                // would have forked from it, start from event 0.
+                assert_eq!(rep.scratch, full.scratch + triples);
+                assert_eq!(rep.forked, full.forked - triples - 1);
+            }
+            let label = format!("fault at {pair}, threads {threads}");
+            assert!(walking_changes_nothing_reported(
+                &label, &w.run, threads, &ctl
+            ));
+        }
     }
 
     #[test]

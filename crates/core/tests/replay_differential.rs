@@ -168,36 +168,70 @@ fn from_scratch(trace: &ProgramTrace, spec: &StealSpec) -> Outcome {
     Ok((tool.report().clone(), tool.checks, stats))
 }
 
+/// The edges of the reduce family's trie in `plan`: each `EveryBlock`
+/// script with the script that is it without its last steal and the
+/// reduces before it, `[a] → [a, b]` and `[a, b] → [a, b, Reduce, c]`.
+fn trie_edges(plan: &[StealSpec]) -> Vec<(&StealSpec, &StealSpec)> {
+    let mut edges = Vec::new();
+    for kid in plan {
+        let StealSpec::EveryBlock(script) = kid else {
+            continue;
+        };
+        let mut ops = script.ops().to_vec();
+        ops.pop();
+        while ops.last() == Some(&BlockOp::Reduce) {
+            ops.pop();
+        }
+        let parent = StealSpec::EveryBlock(BlockScript::new(ops));
+        if let Some(parent) = plan.iter().find(|s| **s == parent) {
+            edges.push((parent, kid));
+        }
+    }
+    edges
+}
+
 /// Every consecutive same-family pair of a sweep's plan for `program`,
-/// on its trace and on the pruned copy a sweep replays (DESIGN.md §5h):
-/// replay the first spec to the pair's fork event, copy detector and
-/// checkpoint, finish the copy under the second spec, and compare both
-/// runs with from-scratch replays of the same trace. Returns (pairs
-/// forked mid-trace, pairs where a replay refused, of the first those of
-/// the pruned copy).
-fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize, usize) {
+/// and every edge of its reduce family's trie, on its trace and on the
+/// pruned copy a sweep replays (DESIGN.md §5h): replay the first spec to
+/// the pair's fork event, copy detector and checkpoint, finish the copy
+/// under the second spec, and compare both runs with from-scratch
+/// replays of the same trace. Returns (pairs forked mid-trace, pairs
+/// where a replay refused, of the first those of the pruned copy, trie
+/// edges forked mid-trace).
+fn fork_every_pair(label: &str, program: impl Fn(&mut Ctx<'_>)) -> (usize, usize, usize, usize) {
     let mut tool = SpPlus::new();
     let trace = ProgramTrace::record_with_tool(&mut tool, &program);
     let stats = trace.stats();
     let mut plan = coverage::update_coverage_specs(stats.max_spawn_count.min(8));
     plan.extend(coverage::reduce_coverage_specs(stats.max_sync_block.min(5)));
-    let (forked, refused) = fork_pairs(label, &trace, &plan);
-    let Some(pruned) = trace.pruned(&tool.report().racy_locs()) else {
-        return (forked, refused, 0);
-    };
-    let (pruned_forked, pruned_refused) = fork_pairs(&format!("{label} pruned"), &pruned, &plan);
-    (
-        forked + pruned_forked,
-        refused + pruned_refused,
-        pruned_forked,
-    )
+    let chain: Vec<_> = plan.windows(2).map(|w| (&w[0], &w[1])).collect();
+    let trie = trie_edges(&plan);
+    let pruned_trace = trace.pruned(&tool.report().racy_locs());
+    let mut traces = vec![(label.to_string(), &trace)];
+    traces.extend((pruned_trace.as_ref()).map(|pruned| (format!("{label} pruned"), pruned)));
+    let (mut forked, mut refused, mut pruned, mut trie_forked) = (0, 0, 0, 0);
+    for (label, trace) in traces {
+        let label = &label;
+        let (f, r) = fork_pairs(label, trace, &chain);
+        let (tf, tr) = fork_pairs(&format!("{label} trie"), trace, &trie);
+        forked += f + tf;
+        refused += r + tr;
+        trie_forked += tf;
+        if trace.dropped() > 0 {
+            pruned += f + tf;
+        }
+    }
+    (forked, refused, pruned, trie_forked)
 }
 
 /// [`fork_every_pair`] on one trace.
-fn fork_pairs(label: &str, trace: &ProgramTrace, plan: &[StealSpec]) -> (usize, usize) {
+fn fork_pairs(
+    label: &str,
+    trace: &ProgramTrace,
+    pairs: &[(&StealSpec, &StealSpec)],
+) -> (usize, usize) {
     let (mut forked, mut refused) = (0, 0);
-    for pair in plan.windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
+    for &(a, b) in pairs {
         let Some(at) = trace.fork_event(a, b) else {
             continue; // different families never fork
         };
@@ -233,7 +267,7 @@ fn fork_pairs(label: &str, trace: &ProgramTrace, plan: &[StealSpec]) -> (usize, 
 
 #[test]
 fn forked_replays_equal_from_scratch_replays() {
-    let (mut forked, mut refused, mut pruned) = (0, 0, 0);
+    let (mut forked, mut refused, mut pruned, mut trie) = (0, 0, 0, 0);
     for (label, cfg) in [
         ("plain", GenConfig::default()),
         (
@@ -247,12 +281,13 @@ fn forked_replays_equal_from_scratch_replays() {
     ] {
         for seed in 0..40u64 {
             let prog = gen_program(seed, &cfg);
-            let (f, r, p) = fork_every_pair(&format!("{label} seed {seed}"), |cx| {
+            let (f, r, p, t) = fork_every_pair(&format!("{label} seed {seed}"), |cx| {
                 run_synth(cx, &prog);
             });
             forked += f;
             refused += r;
             pruned += p;
+            trie += t;
         }
     }
     let racy = fig1::workload_racy(Scale::Small);
@@ -263,13 +298,15 @@ fn forked_replays_equal_from_scratch_replays() {
         fig1::workload(Scale::Small),
         racy,
     ] {
-        let (f, r, p) = fork_every_pair(w.name, &w.run);
+        let (f, r, p, t) = fork_every_pair(w.name, &w.run);
         assert!(f > 0, "{}: no pair forked mid-trace", w.name);
         forked += f;
         refused += r;
         pruned += p;
+        trie += t;
     }
     assert!(forked >= 150, "only {forked} pairs forked mid-trace");
+    assert!(trie >= 100, "only {trie} trie edges forked mid-trace");
     assert!(pruned > 0, "no pruned trace forked mid-trace");
     assert!(refused > 0, "no divergent program exercised the refusal");
 }

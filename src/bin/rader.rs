@@ -240,12 +240,17 @@ fn cmd_exhaustive(o: &SweepOpts) {
         }
     };
     outln!(
-        "{} SP+ runs ({} replayed from trace, {} access checks pruned; \
+        "{} SP+ runs ({} replayed from trace, {} access checks pruned, \
+         {} forked and {} from event 0 feeding {} events, {} fallback(s); \
          K = {}, M = {}; record {}, sweep {} on {} worker(s), merge {}); \
          {} specification(s) exposed races:\n",
         sweep.runs,
         sweep.replayed,
         sweep.pruned,
+        sweep.forked,
+        sweep.scratch,
+        sweep.replayed_events,
+        sweep.fallbacks.len(),
         sweep.k,
         sweep.m,
         fmt_ms(sweep.timing.record_ns),

@@ -400,18 +400,19 @@ fn removed_sweep_scheduling_flags_exit_2_naming_the_flag() {
 #[test]
 fn closed_stdout_ends_the_process_quietly() {
     // `rader exhaustive | head -1`: the reader goes away while rader still
-    // has output to write. Close the read end before rader has finished
-    // its sweep, so its first write meets a closed pipe. That must end
-    // the process with 141 (the status of a SIGPIPE death) and nothing on
-    // stderr, never with print!'s "failed printing to stdout" panic.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rader"))
+    // has output to write. The read end is closed before rader starts, so
+    // its first write meets a closed pipe however fast its sweep runs.
+    // That must end the process with 141 (the status of a SIGPIPE death)
+    // and nothing on stderr, never with print!'s "failed printing to
+    // stdout" panic.
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_rader"))
         .args(["exhaustive", "--threads", "1"])
-        .stdout(Stdio::piped())
+        .stdout(Stdio::from(writer))
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn rader");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for rader");
+        .output()
+        .expect("run rader");
     let stderr = stderr_of(&out);
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert_eq!(out.status.code(), Some(141), "stderr: {stderr}");

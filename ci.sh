@@ -11,6 +11,15 @@ cargo build --release --offline --workspace
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== examples: each asserts its own verdicts and prints <name> OK =="
+for example in quickstart fig1_list_race coverage_sweep custom_monoid pbfs_demo; do
+    cargo run -q --release --offline --example "$example" >"target/example-$example.out"
+    if ! grep -qx "$example OK" "target/example-$example.out"; then
+        echo "ERROR: example $example did not print '$example OK'" >&2
+        exit 1
+    fi
+done
+
 echo "== bench targets compile (offline) =="
 cargo check -q --offline --workspace --benches
 

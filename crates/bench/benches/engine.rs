@@ -7,7 +7,7 @@
 
 use rader_bench::timing::Harness;
 use rader_cilk::Ctx;
-use rader_core::{coverage, CoverageOptions};
+use rader_core::{coverage, CoverageOptions, SweepControl};
 use rader_workloads::{dedup, ferret};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     h.finish();
 }
 
-/// `exhaustive_check` sweep time with trace replay (record once, replay
+/// Section-7 sweep time with trace replay (record once, replay
 /// per spec) vs honest re-execution of the user program per spec, on the
 /// two workloads where per-strand user work (hashing) dominates. Capped
 /// K/M keep the spec count identical across both modes and small enough
@@ -28,7 +28,9 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
         replay,
     };
     let sweep = |program: &(dyn Fn(&mut Ctx<'_>) + Sync), replay: bool| {
-        let rep = coverage::exhaustive_check(program, &opts(replay));
+        let ctl = SweepControl::default();
+        let rep = coverage::exhaustive_check_parallel_ctl(program, &opts(replay), 1, &ctl)
+            .expect("no journal is configured");
         assert_eq!(rep.replayed == rep.runs, replay, "unexpected fallback");
         rep.runs
     };

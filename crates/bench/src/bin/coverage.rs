@@ -12,18 +12,18 @@
 //! * **Theorem 6**: for nested-spawn programs with block size K and
 //!   depth D, the spawn-count family has exactly M = K·(D+1) members
 //!   and elicits an update strand at every P-depth.
-//! * End to end: the exhaustive sweep finds the Figure-1 race with no
+//! * End to end: `rader_core::check` finds the Figure-1 race with no
 //!   hand-picked specification and passes the fixed program.
 //!
 //! What the sweep costs, replay against re-execution, is measured once,
 //! by the `engine` bench's `exhaustive_sweep` group.
 
 use rader_cilk::synth::{nested_spawns, run_synth};
-use rader_cilk::{SerialEngine, StealSpec};
+use rader_cilk::{Ctx, SerialEngine, StealSpec};
 use rader_core::coverage::{
     count_elicited_reduce_ops, reduce_coverage_specs, update_coverage_specs,
 };
-use rader_core::{coverage, CoverageOptions, SpPlus};
+use rader_core::{check, CoverageOptions, SpPlus, SweepControl};
 use rader_workloads::fig1;
 
 fn main() {
@@ -71,33 +71,31 @@ fn main() {
     }
 
     println!("\n=== Exhaustive checking, end to end (Figure 1) ===");
-    let buggy = coverage::exhaustive_check(
-        |cx| {
-            fig1::race_program(cx, 12);
-        },
-        &CoverageOptions::default(),
-    );
+    let verdict = |program: fn(&mut Ctx<'_>, u64) -> usize| {
+        let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
+        let program = |cx: &mut Ctx<'_>| {
+            program(cx, 12);
+        };
+        check(program, &opts, 1, &ctl).expect("no journal is configured")
+    };
+    let buggy = verdict(fig1::race_program);
+    let sweep = &buggy.sweep;
     println!(
         "buggy program: {} SP+ runs ({} replayed from trace; K = {}, M = {}) → races: {}",
-        buggy.runs,
-        buggy.replayed,
-        buggy.k,
-        buggy.m,
-        buggy.report.has_races()
+        sweep.runs,
+        sweep.replayed,
+        sweep.k,
+        sweep.m,
+        !buggy.clean()
     );
-    assert!(buggy.report.has_races());
-    let fixed = coverage::exhaustive_check(
-        |cx| {
-            fig1::race_program_fixed(cx, 12);
-        },
-        &CoverageOptions::default(),
-    );
+    assert!(!buggy.clean());
+    let fixed = verdict(fig1::race_program_fixed);
     println!(
         "fixed program: {} SP+ runs → races: {}",
-        fixed.runs,
-        fixed.report.has_races()
+        fixed.sweep.runs,
+        !fixed.clean()
     );
-    assert!(!fixed.report.has_races());
+    assert!(fixed.clean());
 
     // Single-schedule blindness, quantified: how many of the coverage
     // specs actually expose the Figure-1 race?

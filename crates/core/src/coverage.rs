@@ -16,9 +16,10 @@
 //!   combines the views spanning continuations `[a, b)` and `[b, c)` —
 //!   the `(a, b, c)` operation.
 //!
-//! [`exhaustive_check`] runs SP+ under both families plus the no-steal
-//! base case and merges the reports, giving the paper's coverage
-//! guarantee for races involving at least one view-oblivious strand.
+//! [`exhaustive_check_parallel_ctl`] runs SP+ under both families plus
+//! the no-steal base case and merges the reports, giving the paper's
+//! coverage guarantee for races involving at least one view-oblivious
+//! strand. [`crate::check`] adds Peer-Set's view-read verdict.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -182,7 +183,7 @@ fn claim_order(specs: &[StealSpec], chunks: &[(usize, usize)], prioritize: bool)
     order
 }
 
-/// Options for [`exhaustive_check`].
+/// Options for [`exhaustive_check_parallel_ctl`].
 #[derive(Clone, Copy, Debug)]
 pub struct CoverageOptions {
     /// Cap on the sync-block size swept by the reduce family (the cubic
@@ -502,50 +503,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Run SP+ under the Section-7 specification families (plus the no-steal
-/// base case) and merge the findings.
-///
-/// The program must be re-runnable (`Fn`), deterministic in its
-/// view-oblivious part, and use only associative reduces — the paper's
-/// "ostensibly deterministic" precondition. By default the program is
-/// recorded once and the sweep replays its [`ProgramTrace`] under each
-/// specification (see [`CoverageOptions::replay`]).
-pub fn exhaustive_check(
-    program: impl Fn(&mut Ctx<'_>) + Sync,
-    opts: &CoverageOptions,
-) -> ExhaustiveReport {
-    exhaustive_check_parallel(program, opts, 1)
-}
-
-/// As [`exhaustive_check`], but running the independent SP+ sweeps on up
-/// to `threads` workers: the calling thread plus scoped threads, never
-/// more workers than chunks to claim, so `threads == 1` starts no thread.
-/// The sweep dominates checking cost (Θ(M) + Θ(K³) serial runs), and the
-/// runs share nothing, so this scales nearly linearly. Findings are
-/// returned in deterministic (spec) order: worker results are
-/// index-sorted before merging, so the merged report is byte-identical
-/// across thread counts.
-///
-/// Workers claim chunks of specs from one shared atomic counter: spec
-/// costs are wildly uneven (an `EveryBlock` reduce triple re-runs the
-/// whole program's reduce machinery; an `AtSpawnCount` update spec may
-/// steal once), so a static partition could leave one worker holding
-/// every expensive spec while the rest idle. The cheap update family is
-/// claimed [`UPDATE_CHUNK`] specs at a time, while every `EveryBlock`
-/// spec is its own chunk, claimed alone or with the rest of its trie
-/// subtree when the sweep walks the reduce family (DESIGN.md §5d, §5g).
-/// Each worker pools one [`SpPlus`] instance per checkpoint slot across
-/// all its runs (the engine's `begin_run` hook resets it in place), so a
-/// sweep allocates O(workers) bag forests, not O(specs).
-pub fn exhaustive_check_parallel(
-    program: impl Fn(&mut Ctx<'_>) + Sync,
-    opts: &CoverageOptions,
-    threads: usize,
-) -> ExhaustiveReport {
-    exhaustive_check_parallel_ctl(program, opts, threads, &SweepControl::default())
-        .expect("a sweep without a checkpoint journal cannot fail")
-}
-
 /// Convert a caught panic payload to a displayable string.
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -576,22 +533,28 @@ fn minimize_panicking_spec(
     if injected {
         return spec.clone();
     }
-    let still_panics = |ops: &[BlockOp]| -> bool {
+    shrink(script.ops(), |ops| {
         let candidate = StealSpec::EveryBlock(BlockScript::new(ops.to_vec()));
         catch_unwind(AssertUnwindSafe(|| {
             let mut tool = SpPlus::new();
             SerialEngine::with_spec(candidate).run_tool(&mut tool, program);
         }))
         .is_err()
-    };
-    let mut ops: Vec<BlockOp> = script.ops().to_vec();
+    })
+}
+
+/// Greedy ddmin over a script: drop op `i` if `keep` still holds without
+/// it, else move on to `i + 1`, in passes from the front until a pass
+/// drops nothing. Returns the `EveryBlock` spec of what is left.
+fn shrink(ops: &[BlockOp], mut keep: impl FnMut(&[BlockOp]) -> bool) -> StealSpec {
+    let mut ops = ops.to_vec();
     loop {
         let mut shrunk = false;
         let mut i = 0;
         while i < ops.len() {
             let mut trial = ops.clone();
             trial.remove(i);
-            if still_panics(&trial) {
+            if keep(&trial) {
                 ops = trial;
                 shrunk = true;
             } else {
@@ -872,9 +835,36 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// [`exhaustive_check_parallel`] with fault-tolerance controls: a
-/// checkpoint journal ([`SweepControl::checkpoint`]), a wall-clock
-/// budget ([`SweepControl::budget`]), and deterministic fault injection
+/// Run SP+ under the Section-7 specification families (plus the no-steal
+/// base case) and merge the findings.
+///
+/// The program must be re-runnable (`Fn`), deterministic in its
+/// view-oblivious part, and use only associative reduces — the paper's
+/// "ostensibly deterministic" precondition. By default the program is
+/// recorded once and the sweep replays its [`ProgramTrace`] under each
+/// specification (see [`CoverageOptions::replay`]).
+///
+/// The independent SP+ runs go to up to `threads` workers: the calling
+/// thread plus scoped threads, never more workers than chunks to claim,
+/// so `threads == 1` starts no thread. Findings are returned in
+/// deterministic (spec) order: worker results are index-sorted before
+/// merging, so the merged report is byte-identical across thread counts.
+///
+/// Workers claim chunks of specs from one shared atomic counter: spec
+/// costs are wildly uneven (an `EveryBlock` reduce triple re-runs the
+/// whole program's reduce machinery; an `AtSpawnCount` update spec may
+/// steal once), so a static partition could leave one worker holding
+/// every expensive spec while the rest idle. The cheap update family is
+/// claimed [`UPDATE_CHUNK`] specs at a time, while every `EveryBlock`
+/// spec is its own chunk, claimed alone or with the rest of its trie
+/// subtree when the sweep walks the reduce family (DESIGN.md §5d, §5g).
+/// Each worker pools one [`SpPlus`] instance per checkpoint slot across
+/// all its runs (the engine's `begin_run` hook resets it in place), so a
+/// sweep allocates O(workers) bag forests, not O(specs).
+///
+/// [`SweepControl`] adds fault tolerance: a checkpoint journal
+/// ([`SweepControl::checkpoint`]), a wall-clock budget
+/// ([`SweepControl::budget`]), and deterministic fault injection
 /// ([`SweepControl::faults`]).
 ///
 /// Completed chunks stream to the journal as single appends, so a
@@ -1410,29 +1400,10 @@ pub fn minimize_spec(program: impl Fn(&mut Ctx<'_>), spec: &StealSpec) -> StealS
     let StealSpec::EveryBlock(script) = spec else {
         return spec.clone();
     };
-    let mut ops: Vec<BlockOp> = script.ops().to_vec();
-    let mut still_exposes = |ops: &[BlockOp]| {
+    shrink(script.ops(), |ops| {
         let candidate = StealSpec::EveryBlock(BlockScript::new(ops.to_vec()));
         !racy_under(&candidate).is_disjoint(&target)
-    };
-    loop {
-        let mut shrunk = false;
-        let mut i = 0;
-        while i < ops.len() {
-            let mut trial = ops.clone();
-            trial.remove(i);
-            if still_exposes(&trial) {
-                ops = trial;
-                shrunk = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !shrunk {
-            break;
-        }
-    }
-    StealSpec::EveryBlock(BlockScript::new(ops))
+    })
 }
 
 /// Identity of a reduce operation on a sync block: the continuation
@@ -1515,8 +1486,16 @@ pub fn count_elicited_reduce_ops(k: u32, specs: &[StealSpec]) -> (usize, usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rader;
     use rader_cilk::synth::SynthAdd;
+
+    /// The sweep on `threads` workers, with no journal, budget or fault.
+    fn swept(
+        program: impl Fn(&mut Ctx<'_>) + Sync,
+        opts: &CoverageOptions,
+        threads: usize,
+    ) -> ExhaustiveReport {
+        sweep(program, opts, threads, &SweepControl::default(), true, true).unwrap()
+    }
 
     #[test]
     fn update_family_size_is_m() {
@@ -1639,10 +1618,10 @@ mod tests {
             cx.write(a, 2);
             cx.sync();
         };
-        let base = exhaustive_check(program, &CoverageOptions::default());
+        let base = swept(program, &CoverageOptions::default(), 1);
         assert!(base.claims < base.runs, "family chunking must batch claims");
         for threads in [1, 2, 4] {
-            let rep = exhaustive_check_parallel(program, &CoverageOptions::default(), threads);
+            let rep = swept(program, &CoverageOptions::default(), threads);
             assert_eq!(rep.report, base.report, "threads={threads}");
             assert_eq!(rep.findings, base.findings);
             assert_eq!(rep.runs, base.runs);
@@ -1663,11 +1642,11 @@ mod tests {
         // sweep must fork; an odd thread count makes workers fork from
         // predecessors that are not adjacent in plan order. Nothing the
         // report counts may move.
-        let base = exhaustive_check(racy8, &CoverageOptions::default());
+        let base = swept(racy8, &CoverageOptions::default(), 1);
         assert!(base.forked > 0, "the sweep forked no spec");
         assert!(base.forked < base.runs);
         for threads in [2, 3] {
-            let rep = exhaustive_check_parallel(racy8, &CoverageOptions::default(), threads);
+            let rep = swept(racy8, &CoverageOptions::default(), threads);
             assert!(rep.forked > 0, "threads={threads}: no spec forked");
             assert_eq!(rep.report, base.report, "threads={threads}");
             assert_eq!(rep.findings, base.findings);
@@ -1684,12 +1663,13 @@ mod tests {
                 (&base.uncovered, &base.quarantined)
             );
         }
-        let rerun = exhaustive_check(
+        let rerun = swept(
             racy8,
             &CoverageOptions {
                 replay: false,
                 ..CoverageOptions::default()
             },
+            1,
         );
         assert_eq!(rerun.forked, 0, "only replays fork");
         assert_eq!(rerun.spplus_checks, base.spplus_checks);
@@ -1717,7 +1697,7 @@ mod tests {
     #[test]
     fn fallbacks_keep_why_replay_refused() {
         let program = aliased_get_view;
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = swept(program, &CoverageOptions::default(), 1);
         assert!(!rep.fallbacks.is_empty(), "no spec fell back");
         assert_eq!(rep.fallbacks.len(), rep.runs - rep.replayed);
         assert!(rep.fallbacks.windows(2).all(|w| w[0].0 < w[1].0));
@@ -1728,12 +1708,13 @@ mod tests {
                 "spec {i}: {e}"
             );
         }
-        let rerun = exhaustive_check(
+        let rerun = swept(
             program,
             &CoverageOptions {
                 replay: false,
                 ..CoverageOptions::default()
             },
+            1,
         );
         assert!(rerun.fallbacks.is_empty(), "re-execution is not a fallback");
         assert_eq!(rerun.report, rep.report);
@@ -1749,14 +1730,14 @@ mod tests {
             aliased_get_view(cx);
         };
         let opts = CoverageOptions::default();
-        let one = exhaustive_check_parallel(program, &opts, 1);
+        let one = swept(program, &opts, 1);
         let ids = std::mem::take(&mut *lock(&ran_on));
         assert!(!one.fallbacks.is_empty(), "no spec re-executed");
         assert_eq!(ids.len(), 1 + one.fallbacks.len());
         let caller = std::thread::current().id();
         assert!(ids.iter().all(|&id| id == caller), "{ids:?}");
         assert_eq!(one.workers, 1);
-        let three = exhaustive_check_parallel(program, &opts, 3);
+        let three = swept(program, &opts, 3);
         assert_eq!(three.report, one.report);
         assert_eq!(three.findings, one.findings);
         assert_eq!(
@@ -1767,7 +1748,7 @@ mod tests {
         assert_eq!(three.workers, 3);
         // Never more workers than chunks to claim: the record pass served
         // spec 0, and every other chunk is one claim.
-        let wide = exhaustive_check_parallel(program, &opts, 16);
+        let wide = swept(program, &opts, 16);
         assert_eq!(wide.workers, wide.claims);
         assert!(wide.claims < 16, "{} claims", wide.claims);
         assert_eq!(wide.report, one.report);
@@ -1793,7 +1774,7 @@ mod tests {
             pruning_changes_only_checks("spawn-free", program, 4),
             (0, 0)
         );
-        let rep = exhaustive_check_parallel(program, &opts, 4);
+        let rep = swept(program, &opts, 4);
         assert_eq!((rep.runs, rep.claims, rep.pruned), (1, 0, 0));
         assert_eq!(rep.workers, 0, "no chunk to claim");
     }
@@ -1871,7 +1852,7 @@ mod tests {
         assert!(text.contains("triples"), "{text}");
         assert!(!text.contains("no-steal base"), "{text}");
         // And a completed sweep is never partial.
-        let full = exhaustive_check_parallel(racy8, &CoverageOptions::default(), 2);
+        let full = swept(racy8, &CoverageOptions::default(), 2);
         assert!(!full.partial);
         assert!(full.uncovered.is_empty());
     }
@@ -1879,7 +1860,7 @@ mod tests {
     #[test]
     fn injected_panic_quarantines_exactly_the_targeted_spec() {
         let opts = CoverageOptions::default();
-        let full = exhaustive_check_parallel(racy8, &opts, 2);
+        let full = swept(racy8, &opts, 2);
         let ctl = SweepControl {
             faults: FaultPlan {
                 panic_at: [5].into(),
@@ -1983,7 +1964,7 @@ mod tests {
     #[test]
     fn checkpointed_sweep_resumes_byte_identical() {
         let opts = CoverageOptions::default();
-        let full = exhaustive_check_parallel(racy8, &opts, 2);
+        let full = swept(racy8, &opts, 2);
         let path = temp_journal("resume");
         // Interrupt mid-sweep via a tiny budget (whatever subset of
         // chunks lands in the journal, resume must reconstruct the
@@ -2088,7 +2069,7 @@ mod tests {
         let base_locs = base.report().racy_locs();
         assert!(base_locs.is_empty(), "{base_locs:?}");
         // ...but the exhaustive sweep elicits the reduce and the race.
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = swept(program, &CoverageOptions::default(), 1);
         assert!(rep.report.has_races());
         assert!(rep.runs > 1);
     }
@@ -2189,13 +2170,14 @@ mod tests {
             cx.reducer_update(h, &[2]);
             cx.sync();
         };
-        let via_replay = exhaustive_check(program, &CoverageOptions::default());
-        let via_rerun = exhaustive_check(
+        let via_replay = swept(program, &CoverageOptions::default(), 1);
+        let via_rerun = swept(
             program,
             &CoverageOptions {
                 replay: false,
                 ..CoverageOptions::default()
             },
+            1,
         );
         assert_eq!(via_replay.report, via_rerun.report);
         assert_eq!(via_replay.findings, via_rerun.findings);
@@ -2452,7 +2434,7 @@ mod tests {
         use rader_workloads::{fib, Scale};
         let w = fib::workload(Scale::Small);
         let opts = CoverageOptions::default();
-        let full = exhaustive_check(&w.run, &opts);
+        let full = swept(&w.run, &opts, 1);
         let plan = plan_sweep(&w.run, &opts, true, true);
         let trie = plan.trie.as_ref().expect("fib walks");
         // At one thread the update family's chunks come first, then the
@@ -2513,7 +2495,7 @@ mod tests {
         let pair = trie.kids(trie.roots[0])[0];
         let triples = trie.kids(pair).len();
         assert!(triples >= 2, "the pair has {triples} triples");
-        let full = exhaustive_check(&w.run, &opts);
+        let full = swept(&w.run, &opts, 1);
         let ctl = SweepControl {
             faults: FaultPlan {
                 panic_at: [pair].into(),
@@ -2551,11 +2533,12 @@ mod tests {
             cx.write(a, 2); // determinacy race on every schedule
             cx.sync();
         };
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = swept(program, &CoverageOptions::default(), 1);
         assert!(!rep.findings.is_empty());
         for finding in &rep.findings {
-            let again = Rader::new().check_determinacy(finding.0.clone(), program);
-            assert_eq!(again.racy_locs(), finding.1.racy_locs());
+            let mut again = SpPlus::new();
+            SerialEngine::with_spec(finding.0.clone()).run_tool(&mut again, program);
+            assert_eq!(again.report().racy_locs(), finding.1.racy_locs());
         }
     }
 
@@ -2570,7 +2553,7 @@ mod tests {
             let v = cx.reducer_get_view(h);
             let _ = cx.read(v);
         };
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = swept(program, &CoverageOptions::default(), 1);
         assert!(!rep.report.has_races(), "{}", rep.report);
         assert_eq!(rep.k, 4);
     }

@@ -2,7 +2,7 @@
 //!
 //! A paper-scale sweep is Θ(M) + Θ(K³) SP+ runs; an OOM kill, a
 //! panicking monoid body, or a wall-clock limit used to throw away every
-//! completed run because `exhaustive_check_parallel` held all per-spec
+//! completed run because the sweep held all per-spec
 //! results in memory until the final merge. The journal makes the sweep
 //! *interruptible*: each completed chunk's per-spec outcomes stream to an
 //! append-only file as they land, and a resumed sweep loads them back,

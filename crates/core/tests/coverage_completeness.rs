@@ -12,7 +12,18 @@ use std::collections::BTreeSet;
 
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
 use rader_cilk::{Ctx, Loc, SerialEngine, StealSpec};
-use rader_core::{coverage, CoverageOptions, SpPlus};
+use rader_core::{coverage, CoverageOptions, ExhaustiveReport, SpPlus, SweepControl};
+
+/// The Section-7 sweep on `threads` workers, with no journal, budget or
+/// fault.
+fn sweep(
+    program: impl Fn(&mut Ctx<'_>) + Sync,
+    opts: &CoverageOptions,
+    threads: usize,
+) -> ExhaustiveReport {
+    coverage::exhaustive_check_parallel_ctl(program, opts, threads, &SweepControl::default())
+        .expect("no journal is configured")
+}
 
 fn spplus_locs(spec: &StealSpec, prog: impl FnOnce(&mut Ctx<'_>)) -> BTreeSet<Loc> {
     let mut tool = SpPlus::new();
@@ -38,8 +49,9 @@ fn sweep_dominates_random_schedule_sampling() {
         };
 
         // The sweep's verdict.
-        let sweep = coverage::exhaustive_check(run, &CoverageOptions::default());
-        let sweep_locs = sweep.report.racy_locs();
+        let sweep_locs = sweep(run, &CoverageOptions::default(), 1)
+            .report
+            .racy_locs();
 
         // A random-schedule sample: 40 random specs of varying density.
         let stats = SerialEngine::new().run(run);
@@ -83,8 +95,8 @@ fn sweep_is_deterministic() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let a = coverage::exhaustive_check(run, &CoverageOptions::default());
-        let b = coverage::exhaustive_check(run, &CoverageOptions::default());
+        let a = sweep(run, &CoverageOptions::default(), 1);
+        let b = sweep(run, &CoverageOptions::default(), 1);
         assert_eq!(a.report.racy_locs(), b.report.racy_locs());
         assert_eq!(a.runs, b.runs);
         assert_eq!(a.findings.len(), b.findings.len());
@@ -97,13 +109,14 @@ fn capping_k_reduces_runs_monotonically() {
     let run = |cx: &mut Ctx<'_>| {
         run_synth(cx, &prog);
     };
-    let full = coverage::exhaustive_check(run, &CoverageOptions::default());
-    let capped = coverage::exhaustive_check(
+    let full = sweep(run, &CoverageOptions::default(), 1);
+    let capped = sweep(
         run,
         &CoverageOptions {
             max_k: Some(2),
             ..CoverageOptions::default()
         },
+        1,
     );
     assert!(capped.runs <= full.runs);
     assert!(capped.k <= 2);
@@ -111,7 +124,6 @@ fn capping_k_reduces_runs_monotonically() {
 
 #[test]
 fn parallel_sweep_matches_serial_sweep() {
-    use rader_core::coverage::exhaustive_check_parallel;
     let cfg = GenConfig {
         view_aliasing: true,
         ..GenConfig::default()
@@ -121,9 +133,9 @@ fn parallel_sweep_matches_serial_sweep() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let serial = coverage::exhaustive_check(run, &CoverageOptions::default());
+        let serial = sweep(run, &CoverageOptions::default(), 1);
         for threads in [1usize, 4] {
-            let par = exhaustive_check_parallel(run, &CoverageOptions::default(), threads);
+            let par = sweep(run, &CoverageOptions::default(), threads);
             assert_eq!(par.runs, serial.runs, "seed {seed}");
             assert_eq!(
                 par.report.racy_locs(),

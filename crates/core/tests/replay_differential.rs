@@ -19,9 +19,20 @@ use rader_cilk::{
     BlockOp, BlockScript, Ctx, ProgramTrace, ReplayCheckpoint, ReplayError, RunStats, SerialEngine,
     StealSpec,
 };
-use rader_core::{coverage, CoverageOptions, RaceReport, SpPlus};
+use rader_core::{coverage, CoverageOptions, ExhaustiveReport, RaceReport, SpPlus, SweepControl};
 use rader_rng::Rng;
 use rader_workloads::{collision, dedup, fib, fig1, Scale};
+
+/// The Section-7 sweep on `threads` workers, with no journal, budget or
+/// fault.
+fn sweep(
+    program: impl Fn(&mut Ctx<'_>) + Sync,
+    opts: &CoverageOptions,
+    threads: usize,
+) -> ExhaustiveReport {
+    coverage::exhaustive_check_parallel_ctl(program, opts, threads, &SweepControl::default())
+        .expect("no journal is configured")
+}
 
 /// A random `EveryBlock` script: strictly increasing steal indices with
 /// reduces sprinkled between them.
@@ -138,13 +149,14 @@ fn exhaustive_driver_replay_matches_reexecution() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let via_replay = coverage::exhaustive_check(run, &CoverageOptions::default());
-        let via_rerun = coverage::exhaustive_check(
+        let via_replay = sweep(run, &CoverageOptions::default(), 1);
+        let via_rerun = sweep(
             run,
             &CoverageOptions {
                 replay: false,
                 ..CoverageOptions::default()
             },
+            1,
         );
         assert_eq!(via_replay.report, via_rerun.report, "seed {seed}");
         assert_eq!(via_replay.findings, via_rerun.findings, "seed {seed}");

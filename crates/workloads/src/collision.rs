@@ -230,7 +230,6 @@ pub fn workload(scale: Scale) -> Workload {
 mod tests {
     use super::*;
     use rader_cilk::{BlockScript, SerialEngine, StealSpec};
-    use rader_core::Rader;
 
     #[test]
     fn count_matches_reference() {
@@ -262,15 +261,9 @@ mod tests {
     #[test]
     fn detector_clean() {
         let scene = gen_scene(5, 4);
-        let rader = Rader::new();
-        let r = rader.check_view_read(|cx| {
+        let v = crate::verdict(|cx| {
             collision_program(cx, &scene);
         });
-        assert!(!r.has_races(), "{r}");
-        let r =
-            rader.check_determinacy(StealSpec::EveryBlock(BlockScript::steals(vec![1])), |cx| {
-                collision_program(cx, &scene);
-            });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 }

@@ -240,7 +240,6 @@ pub fn workload(scale: Scale) -> Workload {
 mod tests {
     use super::*;
     use rader_cilk::{BlockScript, SerialEngine, StealSpec};
-    use rader_core::Rader;
 
     fn collect_output(spec: StealSpec, input: &Stream) -> Vec<Vec<Word>> {
         let mut out = Vec::new();
@@ -345,15 +344,9 @@ mod tests {
     #[test]
     fn detector_clean() {
         let input = gen_stream(8, 2);
-        let rader = Rader::new();
-        let r = rader.check_view_read(|cx| {
+        let v = crate::verdict(|cx| {
             dedup_program(cx, &input);
         });
-        assert!(!r.has_races(), "{r}");
-        let r =
-            rader.check_determinacy(StealSpec::EveryBlock(BlockScript::steals(vec![1])), |cx| {
-                dedup_program(cx, &input);
-            });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 }

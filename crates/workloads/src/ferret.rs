@@ -169,7 +169,6 @@ pub fn workload(scale: Scale) -> Workload {
 mod tests {
     use super::*;
     use rader_cilk::{BlockScript, SerialEngine, StealSpec};
-    use rader_core::Rader;
 
     #[test]
     fn hits_and_checksum_match_reference() {
@@ -204,15 +203,9 @@ mod tests {
     #[test]
     fn detector_clean() {
         let corpus = gen_corpus(20, 2, 3);
-        let rader = Rader::new();
-        let r = rader.check_view_read(|cx| {
+        let v = crate::verdict(|cx| {
             ferret_program(cx, &corpus);
         });
-        assert!(!r.has_races(), "{r}");
-        let r =
-            rader.check_determinacy(StealSpec::EveryBlock(BlockScript::steals(vec![1])), |cx| {
-                ferret_program(cx, &corpus);
-            });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 }

@@ -62,7 +62,6 @@ pub fn workload(scale: Scale) -> Workload {
 mod tests {
     use super::*;
     use rader_cilk::{BlockScript, SerialEngine, StealSpec};
-    use rader_core::Rader;
 
     #[test]
     fn fib_matches_reference() {
@@ -92,15 +91,9 @@ mod tests {
 
     #[test]
     fn fib_is_race_free() {
-        let rader = Rader::new();
-        let r = rader.check_view_read(|cx| {
+        let v = crate::verdict(|cx| {
             fib_program(cx, 10);
         });
-        assert!(!r.has_races(), "{r}");
-        let r =
-            rader.check_determinacy(StealSpec::EveryBlock(BlockScript::steals(vec![1])), |cx| {
-                fib_program(cx, 10);
-            });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 }

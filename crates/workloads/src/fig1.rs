@@ -145,8 +145,8 @@ pub fn workload_racy(_scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rader_cilk::{AccessKind, BlockScript, StealSpec};
-    use rader_core::{coverage, CoverageOptions, Rader, SpBags};
+    use rader_cilk::{AccessKind, BlockScript, SerialEngine, StealSpec};
+    use rader_core::{PeerSet, RaceReport, SpBags, SpPlus};
 
     /// The steal spec that makes the Figure-1 race bite: the scanner's
     /// continuation (and each block's first continuation) is stolen.
@@ -154,9 +154,23 @@ mod tests {
         StealSpec::EveryBlock(BlockScript::steals(vec![1]))
     }
 
+    /// SP+ on the one schedule `spec`.
+    fn sp_plus(spec: StealSpec, program: impl FnOnce(&mut Ctx<'_>)) -> RaceReport {
+        let mut tool = SpPlus::new();
+        SerialEngine::with_spec(spec).run_tool(&mut tool, program);
+        tool.into_report()
+    }
+
+    /// Peer-Set on the serial run.
+    fn peer_set(program: impl FnOnce(&mut Ctx<'_>)) -> RaceReport {
+        let mut tool = PeerSet::new();
+        SerialEngine::new().run_tool(&mut tool, program);
+        tool.into_report()
+    }
+
     #[test]
     fn buggy_program_races_in_a_reduce_strand() {
-        let r = Rader::new().check_determinacy(biting_spec(), |cx| {
+        let r = sp_plus(biting_spec(), |cx| {
             race_program(cx, 16);
         });
         assert!(r.has_races(), "Figure 1 race missed");
@@ -173,14 +187,10 @@ mod tests {
 
     #[test]
     fn fixed_program_is_clean() {
-        let r = Rader::new().check_determinacy(biting_spec(), |cx| {
+        let v = crate::verdict(|cx| {
             race_program_fixed(cx, 16);
         });
-        assert!(!r.has_races(), "{r}");
-        let r = Rader::new().check_view_read(|cx| {
-            race_program_fixed(cx, 16);
-        });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 
     #[test]
@@ -193,7 +203,7 @@ mod tests {
         // locations reducers introduce.
         let spec = biting_spec();
         let mut spb = SpBags::new();
-        rader_cilk::SerialEngine::with_spec(spec.clone()).run_tool(&mut spb, |cx| {
+        SerialEngine::with_spec(spec.clone()).run_tool(&mut spb, |cx| {
             race_program_fixed(cx, 16);
         });
         // The FIXED program is race-free (SP+ and the oracle agree), yet
@@ -202,12 +212,12 @@ mod tests {
             spb.report().has_races(),
             "expected SP-bags false positives on reducer view memory"
         );
-        let r = Rader::new().check_determinacy(spec.clone(), |cx| {
+        let r = sp_plus(spec.clone(), |cx| {
             race_program_fixed(cx, 16);
         });
         assert!(!r.has_races(), "{r}");
         // And the genuinely racy program is caught by SP+.
-        let r = Rader::new().check_determinacy(spec, |cx| {
+        let r = sp_plus(spec, |cx| {
             race_program(cx, 16);
         });
         assert!(r.has_races());
@@ -215,18 +225,16 @@ mod tests {
 
     #[test]
     fn exhaustive_sweep_finds_the_race_without_hand_picked_spec() {
-        let rep = coverage::exhaustive_check(
-            |cx| {
-                race_program(cx, 8);
-            },
-            &CoverageOptions::default(),
-        );
-        assert!(rep.report.has_races(), "coverage sweep missed Figure 1");
+        let v = crate::verdict(|cx| {
+            race_program(cx, 8);
+        });
+        assert!(v.sweep.report.has_races(), "coverage sweep missed Figure 1");
+        assert!(v.minimized.is_some());
     }
 
     #[test]
     fn premature_get_is_a_view_read_race() {
-        let r = Rader::new().check_view_read(|cx| {
+        let r = peer_set(|cx| {
             update_list_premature_get(cx, 8);
         });
         assert_eq!(r.view_read.len(), 1, "{r}");
@@ -234,7 +242,7 @@ mod tests {
 
     #[test]
     fn correct_update_list_has_no_view_read_race() {
-        let r = Rader::new().check_view_read(|cx| {
+        let r = peer_set(|cx| {
             let list = MyList::new(cx);
             update_list(cx, 8, list);
         });

@@ -201,7 +201,6 @@ pub fn workload(scale: Scale) -> Workload {
 mod tests {
     use super::*;
     use rader_cilk::{BlockScript, SerialEngine, StealSpec};
-    use rader_core::Rader;
 
     #[test]
     fn matches_dp_reference() {
@@ -230,24 +229,20 @@ mod tests {
     #[test]
     fn clean_variant_has_no_races() {
         let inst = gen_instance(8, 3);
-        let rader = Rader::new();
-        let r = rader.check_view_read(|cx| {
+        let v = crate::verdict(|cx| {
             knapsack_program(cx, &inst);
         });
-        assert!(!r.has_races(), "{r}");
-        let r =
-            rader.check_determinacy(StealSpec::EveryBlock(BlockScript::steals(vec![1])), |cx| {
-                knapsack_program(cx, &inst);
-            });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 
     #[test]
     fn racy_variant_is_caught_by_peerset() {
         let inst = gen_instance(8, 3);
-        let r = Rader::new().check_view_read(|cx| {
+        let mut peers = rader_core::PeerSet::new();
+        SerialEngine::new().run_tool(&mut peers, |cx| {
             knapsack_racy_program(cx, &inst);
         });
+        let r = peers.into_report();
         assert!(r.view_read.len() == 1, "{r}");
     }
 }

@@ -35,6 +35,14 @@ pub mod pbfs;
 
 use rader_cilk::Ctx;
 
+/// [`rader_core::check`] on one worker with the default sweep: the
+/// verdict the workloads' cleanness tests assert.
+#[cfg(test)]
+fn verdict(program: impl Fn(&mut Ctx<'_>) + Sync) -> rader_core::Verdict {
+    let (opts, ctl) = Default::default();
+    rader_core::check(program, &opts, 1, &ctl).expect("no journal is configured")
+}
+
 /// A benchmark of the paper's evaluation, built at a given scale.
 pub struct Workload {
     /// Benchmark name as it appears in the paper's tables.

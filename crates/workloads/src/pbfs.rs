@@ -242,7 +242,6 @@ pub fn workload(scale: Scale) -> Workload {
 mod tests {
     use super::*;
     use rader_cilk::{BlockScript, SerialEngine, StealSpec};
-    use rader_core::Rader;
 
     #[test]
     fn matches_reference_bfs() {
@@ -275,16 +274,10 @@ mod tests {
     #[test]
     fn detector_clean() {
         let g = gen_graph(40, 3, 2);
-        let rader = Rader::new();
-        let r = rader.check_view_read(|cx| {
+        let v = crate::verdict(|cx| {
             pbfs_program(cx, &g, 0);
         });
-        assert!(!r.has_races(), "{r}");
-        let r =
-            rader.check_determinacy(StealSpec::EveryBlock(BlockScript::steals(vec![1])), |cx| {
-                pbfs_program(cx, &g, 0);
-            });
-        assert!(!r.has_races(), "{r}");
+        assert!(v.clean(), "{}", v.report);
     }
 
     #[test]
@@ -295,10 +288,11 @@ mod tests {
         SerialEngine::new().run(|cx| got = pbfs_racy_program(cx, &g, 0));
         assert_eq!(got, pbfs_reference(&g, 0));
         // ...but it IS a determinacy race, and SP+ says so.
-        let r = Rader::new().check_determinacy(StealSpec::None, |cx| {
+        let mut sp = rader_core::SpPlus::new();
+        SerialEngine::new().run_tool(&mut sp, |cx| {
             pbfs_racy_program(cx, &g, 0);
         });
-        assert!(r.has_races(), "racy PBFS not flagged");
+        assert!(sp.report().has_races(), "racy PBFS not flagged");
     }
 
     #[test]

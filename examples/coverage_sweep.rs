@@ -9,7 +9,7 @@ use rader::cilk::synth::{nested_spawns, run_synth};
 use rader::core::coverage::{
     count_elicited_reduce_ops, reduce_coverage_specs, update_coverage_specs,
 };
-use rader::core::{coverage, CoverageOptions};
+use rader::core::{check, CoverageOptions, SweepControl};
 use rader_cilk::SerialEngine;
 
 fn main() {
@@ -45,23 +45,24 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // The full sweep on an ostensibly deterministic program.
+    // The full verdict on an ostensibly deterministic program: Peer-Set,
+    // then the sweep of both families.
     // ------------------------------------------------------------------
     let prog = nested_spawns(3, 2);
-    let rep = coverage::exhaustive_check(
-        |cx| {
-            run_synth(cx, &prog);
-        },
-        &CoverageOptions::default(),
-    );
+    let program = |cx: &mut rader_cilk::Ctx<'_>| {
+        run_synth(cx, &prog);
+    };
+    let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
+    let verdict = check(program, &opts, 1, &ctl).expect("no journal is configured");
+    let sweep = &verdict.sweep;
     println!(
-        "\nexhaustive_check on nested_spawns(3,2): {} runs (K = {}, M = {}), races: {}",
-        rep.runs,
-        rep.k,
-        rep.m,
-        rep.report.has_races()
+        "\ncheck on nested_spawns(3,2): {} runs (K = {}, M = {}), races: {}",
+        sweep.runs,
+        sweep.k,
+        sweep.m,
+        verdict.races()
     );
-    assert!(!rep.report.has_races());
+    assert!(verdict.clean());
 
     println!("coverage_sweep OK");
 }

@@ -1,10 +1,10 @@
-//! Parallel BFS with the pennant-bag reducer, checked by both detectors.
+//! Parallel BFS with the pennant-bag reducer, checked by `rader::core::check`.
 //!
 //! ```sh
 //! cargo run --release --example pbfs_demo
 //! ```
 
-use rader::core::Rader;
+use rader::core::{check, CoverageOptions, SweepControl};
 use rader::workloads::pbfs;
 use rader_cilk::{BlockScript, SerialEngine, StealSpec};
 
@@ -30,7 +30,7 @@ fn main() {
     // Same answer under simulated steals (the reducer contract).
     let spec = StealSpec::EveryBlock(BlockScript::steals(vec![1, 2]));
     let mut got2 = -1;
-    let stats2 = SerialEngine::with_spec(spec.clone()).run(|cx| {
+    let stats2 = SerialEngine::with_spec(spec).run(|cx| {
         got2 = pbfs::pbfs_program(cx, &g, 0);
     });
     assert_eq!(got2, expect);
@@ -39,20 +39,19 @@ fn main() {
         stats2.steals, stats2.reduce_merges
     );
 
-    // Both detectors come back clean on a smaller instance (the oracle
-    // machinery behind them is O(n²), detection itself is near-linear).
+    // The verdict comes back clean on a smaller instance: Peer-Set on the
+    // serial run, SP+ under every Section-7 steal specification.
     let small = pbfs::gen_graph(200, 4, 7);
-    let rader = Rader::new();
-    let report = rader.check_view_read(|cx| {
+    let program = |cx: &mut rader_cilk::Ctx<'_>| {
         pbfs::pbfs_program(cx, &small, 0);
-    });
-    assert!(!report.has_races());
-    println!("Peer-Set: no view-read races");
-    let report = rader.check_determinacy(spec, |cx| {
-        pbfs::pbfs_program(cx, &small, 0);
-    });
-    assert!(!report.has_races());
-    println!("SP+: no determinacy races");
+    };
+    let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
+    let verdict = check(program, &opts, 1, &ctl).expect("no journal is configured");
+    assert!(verdict.clean(), "{}", verdict.report);
+    println!(
+        "check: no view-read races, and no determinacy races in {} SP+ runs (K = {}, M = {})",
+        verdict.sweep.runs, verdict.sweep.k, verdict.sweep.m
+    );
 
     println!("pbfs_demo OK");
 }

@@ -6,7 +6,6 @@
 //! ```
 
 use rader::prelude::*;
-use rader_cilk::BlockScript;
 
 fn main() {
     // ------------------------------------------------------------------
@@ -28,43 +27,49 @@ fn main() {
     );
     assert_eq!(total, 5050);
 
-    let rader = Rader::new();
-
-    // Peer-Set: no view-read races — every read happens after the sync.
-    let report = rader.check_view_read(correct_program);
-    println!("\nPeer-Set on the correct program: {report}");
-    assert!(!report.has_races());
-
-    // SP+ under a steal specification: no determinacy races either.
-    let spec = StealSpec::EveryBlock(BlockScript::steals(vec![1, 2]));
-    let report = rader.check_determinacy(spec, correct_program);
-    println!("SP+ on the correct program: {report}");
-    assert!(!report.has_races());
+    // `check` is the verdict: Peer-Set on the serial run for view-read
+    // races, then SP+ under every steal specification of the Section-7
+    // sweep for determinacy races. No schedule is picked by hand.
+    let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
+    let verdict = check(correct_program, &opts, 1, &ctl).expect("no journal is configured");
+    println!(
+        "\ncheck on the correct program: {} SP+ runs (K = {}, M = {}): {}",
+        verdict.sweep.runs, verdict.sweep.k, verdict.sweep.m, verdict.report
+    );
+    assert!(verdict.clean());
 
     // ------------------------------------------------------------------
     // 2. A buggy program: reads the reducer while a spawn is outstanding.
     // ------------------------------------------------------------------
-    let report = rader.check_view_read(|cx| {
+    let premature_read = |cx: &mut Ctx<'_>| {
         let sum = OpAdd::register(cx);
         cx.spawn(move |cx| sum.add(cx, 10));
         let premature = sum.get(cx); // schedule-dependent value!
         cx.sync();
         let _ = premature;
-    });
-    println!("Peer-Set on the premature-read program:\n{report}");
-    assert_eq!(report.view_read.len(), 1);
+    };
+    let verdict = check(premature_read, &opts, 1, &ctl).expect("no journal is configured");
+    println!("check on the premature-read program:\n{}", verdict.report);
+    assert_eq!(verdict.report.view_read.len(), 1);
 
     // ------------------------------------------------------------------
     // 3. A determinacy race: two logically parallel writes.
     // ------------------------------------------------------------------
-    let report = rader.check_determinacy(StealSpec::None, |cx| {
+    let parallel_writes = |cx: &mut Ctx<'_>| {
         let cell = cx.alloc(1);
         cx.spawn(move |cx| cx.write(cell, 1));
         cx.write(cell, 2); // races with the spawned write
         cx.sync();
-    });
-    println!("SP+ on the parallel-writes program:\n{report}");
-    assert_eq!(report.determinacy.len(), 1);
+    };
+    let verdict = check(parallel_writes, &opts, 1, &ctl).expect("no journal is configured");
+    println!("check on the parallel-writes program:\n{}", verdict.report);
+    assert_eq!(verdict.report.determinacy.len(), 1);
+    // Every swept specification that exposed it reproduces it alone.
+    println!(
+        "exposed by {} of {} specifications",
+        verdict.sweep.findings.len(),
+        verdict.sweep.runs
+    );
 
     println!("quickstart OK");
 }

@@ -7,7 +7,10 @@
 use std::path::Path;
 
 use rader::cli::{self, Command, SuiteOpts, SweepOpts, SynthOpts};
-use rader::core::{coverage, CoverageOptions, ExhaustiveReport, Rader, SCHEMA_VERSION};
+use rader::core::{
+    check, coverage, CoverageOptions, ExhaustiveReport, PeerSet, SpPlus, SweepControl,
+    SCHEMA_VERSION,
+};
 use rader::suite;
 use rader::workloads::{self, fig1, Scale};
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
@@ -66,21 +69,24 @@ fn main() {
 }
 
 fn cmd_fig1() {
-    let rader = Rader::new();
     outln!("## Peer-Set on update_list with a premature get_value");
-    let r = rader.check_view_read(|cx| fig1::update_list_premature_get(cx, 8));
-    out!("{r}");
-    outln!("\n## SP+ on the shallow-copy race() (stealing continuation 1)");
+    let mut peers = PeerSet::new();
+    SerialEngine::new().run_tool(&mut peers, |cx| fig1::update_list_premature_get(cx, 8));
+    out!("{}", peers.report());
+    // SP+ on one schedule, the one that makes the Figure-1 race bite.
     let spec = StealSpec::EveryBlock(BlockScript::steals(vec![1]));
-    let r = rader.check_determinacy(spec.clone(), |cx| {
+    outln!("\n## SP+ on the shallow-copy race() (stealing continuation 1)");
+    let mut sp = SpPlus::new();
+    SerialEngine::with_spec(spec.clone()).run_tool(&mut sp, |cx| {
         fig1::race_program(cx, 16);
     });
-    out!("{r}");
+    out!("{}", sp.report());
     outln!("\n## SP+ on the deep-copy fix (same schedule)");
-    let r = rader.check_determinacy(spec, |cx| {
+    let mut sp = SpPlus::new();
+    SerialEngine::with_spec(spec).run_tool(&mut sp, |cx| {
         fig1::race_program_fixed(cx, 16);
     });
-    out!("{r}");
+    out!("{}", sp.report());
 }
 
 fn fmt_ms(ns: u64) -> String {
@@ -135,11 +141,12 @@ fn cmd_suite(o: &SuiteOpts) {
         "merge"
     );
     for w in &report.workloads {
-        let sweep = &w.sweep;
-        let mut verdict = if w.clean() {
+        let v = &w.verdict;
+        let sweep = &v.sweep;
+        let mut verdict = if v.clean() {
             "clean".to_string()
         } else {
-            format!("RACES ({})", w.races)
+            format!("RACES ({})", v.races())
         };
         if sweep.partial {
             verdict.push_str(" [partial]");
@@ -150,14 +157,14 @@ fn cmd_suite(o: &SuiteOpts) {
         outln!(
             "{:<10} {:>8} {:>10} {:>6} {:>8} {:>6} {:>4} {:>4} {:>10} {:>11} {:>9} {:>9} {:>8}  {}",
             w.name,
-            w.frames,
-            w.accesses,
+            v.stats.frames,
+            v.stats.reads + v.stats.writes,
             sweep.runs,
             sweep.replayed,
             sweep.claims,
             sweep.k,
             sweep.m,
-            w.peer_set_checks,
+            v.peer_set_checks,
             sweep.spplus_checks,
             fmt_ms(sweep.timing.record_ns),
             fmt_ms(sweep.timing.sweep_ns),
@@ -165,15 +172,15 @@ fn cmd_suite(o: &SuiteOpts) {
             verdict
         );
     }
-    for w in report.workloads.iter().filter(|w| !w.clean()) {
+    for w in report.workloads.iter().filter(|w| !w.verdict.clean()) {
         outln!("\n## {} races", w.name);
-        if let Some(min) = &w.minimized {
-            outln!("minimized reproducer: {min}");
+        if let Some(min) = &w.verdict.minimized {
+            outln!("minimized reproducer: {min:?}");
         }
-        out!("{}", w.report);
+        out!("{}", w.verdict.report);
     }
     for w in &report.workloads {
-        print_degradations(&w.name, &w.sweep);
+        print_degradations(&w.name, &w.verdict.sweep);
     }
     if let Some(path) = &o.json {
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -194,24 +201,25 @@ fn cmd_synth(o: &SynthOpts) {
     };
     let prog = gen_program(o.seed, &cfg);
     outln!("program (seed {}): {:?}\n", o.seed, prog.body);
-    let sweep = coverage::exhaustive_check(
-        |cx| {
-            run_synth(cx, &prog);
-        },
+    let program = |cx: &mut rader_cilk::Ctx<'_>| {
+        run_synth(cx, &prog);
+    };
+    let v = check(
+        program,
         &CoverageOptions::default(),
-    );
+        1,
+        &SweepControl::default(),
+    )
+    .expect("a sweep without a checkpoint journal cannot fail");
     outln!(
         "exhaustive check: {} SP+ runs (K = {}, M = {})",
-        sweep.runs,
-        sweep.k,
-        sweep.m
+        v.sweep.runs,
+        v.sweep.k,
+        v.sweep.m
     );
-    out!("{}", sweep.report);
-    let vr = Rader::new().check_view_read(|cx| {
-        run_synth(cx, &prog);
-    });
-    if vr.has_races() {
-        out!("{vr}");
+    out!("{}", v.report);
+    if let Some(min) = &v.minimized {
+        outln!("minimized reproducer: {min:?}");
     }
     if o.dot {
         let mut rec = TraceRecorder::new();

@@ -16,6 +16,7 @@
 //!   view-read races, the SP+ algorithm for determinacy races involving
 //!   reducer views, the SP-bags baseline, and the Section-7 coverage
 //!   machinery for exhaustive checking of ostensibly deterministic programs.
+//!   [`core::check`] combines them into one verdict.
 //! * [`dag`] — computation dags, SP parse trees, performance dags, and
 //!   brute-force oracle detectors (used for validation).
 //! * [`workloads`] — the six benchmarks from the paper's evaluation.
@@ -36,8 +37,10 @@
 //!     assert_eq!(sum.get(cx), 11); // deterministic only after the sync
 //! };
 //!
-//! let report = Rader::new().check_view_read(&program);
-//! assert!(report.has_races());
+//! let verdict = check(program, &CoverageOptions::default(), 1, &SweepControl::default())?;
+//! assert!(!verdict.clean());
+//! assert_eq!(verdict.report.view_read.len(), 1);
+//! # Ok::<(), String>(())
 //! ```
 
 pub mod cli;
@@ -55,7 +58,8 @@ pub use rader_workloads as workloads;
 pub mod prelude {
     pub use rader_cilk::{Ctx, EmptyTool, Loc, SerialEngine, StealSpec, Tool, Word};
     pub use rader_core::{
-        coverage, peerset::PeerSet, spbags::SpBags, spplus::SpPlus, RaceReport, Rader,
+        check, coverage, peerset::PeerSet, spbags::SpBags, spplus::SpPlus, CoverageOptions,
+        RaceReport, SweepControl, Verdict,
     };
     pub use rader_reducers::{
         BagMonoid, ListMonoid, Max, Min, Monoid, OpAdd, OpMul, OstreamMonoid, RedHandle,

@@ -6,20 +6,18 @@
 //! `StealSpec::Random` schedule — three executions, one schedule, and a
 //! verdict that was silently a *single-schedule* claim: a race hiding in
 //! a reduce strand that schedule never elicits got printed as "clean".
-//! This module replaces that with the paper's actual pipeline:
+//! This module replaces that with the paper's actual pipeline,
+//! [`rader_core::check`], configured by [`SweepOpts::configure`]:
 //!
-//! 1. **One instrumented Peer-Set run** per workload. `run_tool` returns
-//!    the engine's [`RunStats`](rader_cilk::RunStats), so this run doubles as the statistics
-//!    pass (the old separate uninstrumented run was pure waste) and
-//!    yields the view-read verdict.
-//! 2. **The Section-7 exhaustive SP+ sweep**
-//!    ([`rader_core::exhaustive_check_parallel_ctl`], configured by
-//!    [`SweepOpts::configure`]): record once under the
+//! 1. **One instrumented Peer-Set run** per workload. It doubles as the
+//!    statistics pass and yields the view-read verdict.
+//! 2. **The Section-7 exhaustive SP+ sweep**: record once under the
 //!    no-steal schedule (which is itself the first detection run), then
 //!    replay the trace under every Theorem-6/7 specification, falling
 //!    back to re-execution on divergence. The sweep is parallel across
 //!    specs with work-queue balancing.
-//! 3. Merge both reports into the workload's verdict.
+//! 3. Merge both reports into the workload's verdict, and minimize the
+//!    first finding into a reproducer.
 //!
 //! **Verdict semantics.** "clean" means: no view-read race on the serial
 //! schedule, and no determinacy race under *any* steal specification in
@@ -34,11 +32,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rader_cilk::SerialEngine;
-use rader_core::{
-    coverage::{self, json_escape},
-    ExhaustiveReport, PeerSet, RaceReport, SCHEMA_VERSION,
-};
+use rader_core::{coverage::json_escape, Verdict, SCHEMA_VERSION};
 use rader_workloads::Workload;
 
 use crate::cli::SweepOpts;
@@ -48,32 +42,10 @@ use crate::cli::SweepOpts;
 pub struct WorkloadVerdict {
     /// Workload name (paper table name).
     pub name: String,
-    /// Frames instantiated by one run.
-    pub frames: u64,
-    /// Instrumented memory accesses (reads + writes) in one run.
-    pub accesses: u64,
-    /// Total distinct races across both detectors.
-    pub races: usize,
-    /// ddmin-minimized reproducer spec for the first racy finding
-    /// (`None` when the workload is clean). Deterministic: the sweep's
-    /// findings are in spec order and the minimizer is greedy.
-    pub minimized: Option<String>,
-    /// Peer-Set membership checks performed.
-    pub peer_set_checks: u64,
     /// Wall-clock for the workload end to end, nanoseconds.
     pub wall_ns: u64,
-    /// Merged Peer-Set + sweep race report.
-    pub report: RaceReport,
-    /// The Section-7 sweep: its runs, claims, `K` and `M`, SP+ checks,
-    /// partial coverage, quarantine and per-phase timing.
-    pub sweep: ExhaustiveReport,
-}
-
-impl WorkloadVerdict {
-    /// `true` when no race of either kind was found.
-    pub fn clean(&self) -> bool {
-        self.races == 0
-    }
+    /// The workload's verdict.
+    pub verdict: Verdict,
 }
 
 /// The whole table: one verdict per workload.
@@ -86,7 +58,7 @@ pub struct SuiteReport {
 impl SuiteReport {
     /// `true` if any workload's verdict is RACES.
     pub fn has_races(&self) -> bool {
-        self.workloads.iter().any(|w| !w.clean())
+        self.workloads.iter().any(|w| !w.verdict.clean())
     }
 
     /// Serialize as a JSON object: a `schema_version` (shared with the
@@ -100,9 +72,10 @@ impl SuiteReport {
             if i > 0 {
                 out.push_str(",\n");
             }
-            let sweep = &w.sweep;
-            let minimized = match &w.minimized {
-                Some(s) => format!("\"{}\"", json_escape(s)),
+            let v = &w.verdict;
+            let sweep = &v.sweep;
+            let minimized = match &v.minimized {
+                Some(s) => format!("\"{}\"", json_escape(&format!("{s:?}"))),
                 None => "null".to_string(),
             };
             let uncovered = sweep
@@ -120,16 +93,16 @@ impl SuiteReport {
                  \"quarantined\": {}, \"wall_ns\": {}, \
                  \"record_ns\": {}, \"sweep_ns\": {}, \"merge_ns\": {}}}",
                 json_escape(&w.name),
-                w.clean(),
-                w.races,
+                v.clean(),
+                v.races(),
                 sweep.runs,
                 sweep.replayed,
                 sweep.claims,
                 sweep.k,
                 sweep.m,
-                w.frames,
-                w.accesses,
-                w.peer_set_checks,
+                v.stats.frames,
+                v.stats.reads + v.stats.writes,
+                v.peer_set_checks,
                 sweep.spplus_checks,
                 minimized,
                 sweep.partial,
@@ -157,8 +130,8 @@ fn journal_path(prefix: &Path, name: &str) -> PathBuf {
     path.into()
 }
 
-/// Check one workload: Peer-Set run (statistics + view-read verdict),
-/// then the parallel Section-7 sweep, then merge.
+/// Check one workload with [`rader_core::check`], its journal (if any)
+/// under the `--checkpoint`/`--resume` prefix.
 ///
 /// Fails only on checkpoint-journal problems (unwritable journal, or a
 /// `--resume` journal that is corrupt or from a different spec plan) —
@@ -166,31 +139,12 @@ fn journal_path(prefix: &Path, name: &str) -> PathBuf {
 /// merge mismatched results.
 pub fn check_workload(w: &Workload, opts: &SweepOpts) -> Result<WorkloadVerdict, String> {
     let wall = Instant::now();
-    let mut peers = PeerSet::new();
-    let stats = SerialEngine::new().run_tool(&mut peers, |cx| (w.run)(cx));
     let (cov, ctl) = opts.configure(w.name, |prefix| journal_path(prefix, w.name));
-    let sweep =
-        coverage::exhaustive_check_parallel_ctl(|cx| (w.run)(cx), &cov, opts.threads(), &ctl)?;
-    let mut report = peers.report().clone();
-    report.merge(&sweep.report);
-    let races = report.determinacy.len() + report.view_read.len();
-    // Minimize the first racy finding into a regression-ready reproducer
-    // (the ROADMAP item): findings are in deterministic spec order and
-    // ddmin is greedy, so the minimized spec is stable across runs.
-    let minimized = sweep
-        .findings
-        .first()
-        .map(|(spec, _)| format!("{:?}", coverage::minimize_spec(|cx| (w.run)(cx), spec)));
+    let verdict = rader_core::check(&w.run, &cov, opts.threads(), &ctl)?;
     Ok(WorkloadVerdict {
         name: w.name.to_string(),
-        frames: stats.frames,
-        accesses: stats.reads + stats.writes,
-        races,
-        minimized,
-        peer_set_checks: peers.checks,
         wall_ns: wall.elapsed().as_nanos() as u64,
-        report,
-        sweep,
+        verdict,
     })
 }
 
@@ -473,6 +427,7 @@ mod tests {
             2,
             "suite must execute the body exactly twice (Peer-Set + record)"
         );
+        let v = v.verdict;
         assert!(v.sweep.runs > 1, "sweep must cover multiple specs");
         assert_eq!(
             v.sweep.replayed, v.sweep.runs,

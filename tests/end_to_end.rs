@@ -2,7 +2,7 @@
 //! detector configuration, the paper's running examples, and the public
 //! API surface.
 
-use rader::core::{coverage, CoverageOptions, PeerSet, Rader, SpPlus};
+use rader::core::{coverage, CoverageOptions, ExhaustiveReport, PeerSet, SpPlus, SweepControl};
 use rader::prelude::*;
 use rader::workloads::{self, fig1, Scale};
 use rader_cilk::BlockScript;
@@ -70,40 +70,42 @@ fn suite_results_are_schedule_invariant() {
     }
 }
 
+/// [`check`] on one worker with the default sweep.
+fn verdict(program: impl Fn(&mut Ctx<'_>) + Sync) -> Verdict {
+    let (opts, ctl) = (CoverageOptions::default(), SweepControl::default());
+    check(program, &opts, 1, &ctl).expect("no journal is configured")
+}
+
 #[test]
 fn figure1_buggy_and_fixed_end_to_end() {
-    // Buggy: caught by the sweep; Fixed: clean under the same sweep.
-    let sweep = coverage::exhaustive_check(
-        |cx| {
-            fig1::race_program(cx, 10);
-        },
-        &CoverageOptions::default(),
-    );
-    assert!(sweep.report.has_races());
-    let sweep = coverage::exhaustive_check(
-        |cx| {
-            fig1::race_program_fixed(cx, 10);
-        },
-        &CoverageOptions::default(),
-    );
-    assert!(!sweep.report.has_races(), "{}", sweep.report);
+    // Buggy: caught by the verdict; Fixed: clean under the same verdict.
+    let v = verdict(|cx| {
+        fig1::race_program(cx, 10);
+    });
+    assert!(v.sweep.report.has_races());
+    assert!(v.minimized.is_some());
+    let v = verdict(|cx| {
+        fig1::race_program_fixed(cx, 10);
+    });
+    assert!(v.clean(), "{}", v.report);
 }
 
 #[test]
 fn racy_knapsack_heuristic_flagged_only_by_peerset() {
     use rader::workloads::knapsack;
     let inst = knapsack::gen_instance(8, 5);
-    let rader = Rader::new();
-    let vr = rader.check_view_read(|cx| {
+    let mut peers = PeerSet::new();
+    SerialEngine::new().run_tool(&mut peers, |cx| {
         knapsack::knapsack_racy_program(cx, &inst);
     });
-    assert_eq!(vr.view_read.len(), 1);
+    assert_eq!(peers.report().view_read.len(), 1);
     // The mid-computation get reads the view cell that parallel updates
     // write — SP+ additionally sees a determinacy race on the view cell.
-    let det = rader.check_determinacy(StealSpec::None, |cx| {
+    let mut sp = SpPlus::new();
+    SerialEngine::new().run_tool(&mut sp, |cx| {
         knapsack::knapsack_racy_program(cx, &inst);
     });
-    assert!(det.view_read.is_empty());
+    assert!(sp.report().view_read.is_empty());
 }
 
 #[test]
@@ -145,8 +147,13 @@ fn pbfs_replay_is_report_identical_not_stream_identical() {
         replay,
         ..CoverageOptions::default()
     };
-    let replayed = coverage::exhaustive_check(program, &opts(true));
-    let fresh = coverage::exhaustive_check(program, &opts(false));
+    let sweep = |opts: CoverageOptions| -> ExhaustiveReport {
+        let ctl = SweepControl::default();
+        coverage::exhaustive_check_parallel_ctl(program, &opts, 1, &ctl)
+            .expect("no journal is configured")
+    };
+    let replayed = sweep(opts(true));
+    let fresh = sweep(opts(false));
     assert_eq!(replayed.runs, fresh.runs);
     assert!(replayed.replayed > 0, "replay fast path never engaged");
     assert_eq!(fresh.replayed, 0);
@@ -192,17 +199,7 @@ fn detectors_compose_with_every_builtin_monoid() {
         assert_eq!(out.records(cx), 8);
         assert_eq!(list.to_vec(cx), (1..=8).collect::<Vec<Word>>());
     };
-    let rader = Rader::new();
-    assert!(!rader.check_view_read(program).has_races());
-    for spec in [
-        StealSpec::EveryBlock(BlockScript::steals(vec![2, 5])),
-        StealSpec::Random {
-            seed: 1,
-            max_block: 8,
-            steals_per_block: 3,
-        },
-    ] {
-        let r = rader.check_determinacy(spec.clone(), program);
-        assert!(!r.has_races(), "under {spec:?}: {r}");
-    }
+    let v = verdict(program);
+    assert!(v.clean(), "{}", v.report);
+    assert_eq!(v.sweep.k, 8);
 }

@@ -17,7 +17,9 @@
 use std::sync::Arc;
 
 use rader::cli::SweepOpts;
-use rader::core::{coverage, CoverageOptions, PeerSet, SpPlus, SweepTiming};
+use rader::core::{
+    coverage, CoverageOptions, ExhaustiveReport, PeerSet, SpPlus, SweepControl, SweepTiming,
+};
 use rader::suite;
 use rader_cilk::{Ctx, Loc, SerialEngine, StealSpec, ViewMem, ViewMonoid, Word};
 use rader_workloads::Workload;
@@ -135,9 +137,16 @@ fn suite_sweep_flags_the_interior_race() {
         rep.has_races(),
         "suite sweep missed the interior reduce race"
     );
-    let v = &rep.workloads[0];
+    let v = &rep.workloads[0].verdict;
     assert!(!v.clean());
     assert!(v.sweep.runs > 1, "sweep must cover the spec families");
+}
+
+/// The Section-7 sweep of the witness program on `threads` workers.
+fn sweep(opts: &CoverageOptions, threads: usize) -> ExhaustiveReport {
+    let ctl = SweepControl::default();
+    coverage::exhaustive_check_parallel_ctl(interior_race_program, opts, threads, &ctl)
+        .expect("no journal is configured")
 }
 
 #[test]
@@ -146,8 +155,8 @@ fn parallel_sweep_is_deterministic_across_runs() {
     // merged result must not depend on it. Two threads=4 sweeps must
     // agree exactly — reports, findings, and counters.
     let opts = CoverageOptions::default();
-    let a = coverage::exhaustive_check_parallel(interior_race_program, &opts, 4);
-    let b = coverage::exhaustive_check_parallel(interior_race_program, &opts, 4);
+    let a = sweep(&opts, 4);
+    let b = sweep(&opts, 4);
     assert_eq!(a.report, b.report);
     assert_eq!(a.findings, b.findings);
     assert_eq!(a.runs, b.runs);
@@ -158,7 +167,7 @@ fn parallel_sweep_is_deterministic_across_runs() {
     // is byte-identical.
     assert_eq!(format!("{}", a.report), format!("{}", b.report));
     // The parallel run agrees with the single-threaded sweep too.
-    let serial = coverage::exhaustive_check(interior_race_program, &opts);
+    let serial = sweep(&opts, 1);
     assert_eq!(a.report, serial.report);
     assert_eq!(a.findings, serial.findings);
 }
@@ -168,7 +177,7 @@ fn parallel_sweep_is_deterministic_across_runs() {
 fn zero_timings(rep: &mut suite::SuiteReport) {
     for w in &mut rep.workloads {
         w.wall_ns = 0;
-        w.sweep.timing = SweepTiming::default();
+        w.verdict.sweep.timing = SweepTiming::default();
     }
 }
 
